@@ -45,7 +45,6 @@ from .allocation import (
     ConvergenceError,
     InfeasibleError,
     OptimizerError,
-    OptimizerSettings,
     PofResult,
     alpha_fair_optimal,
     max_utilization,
@@ -81,7 +80,6 @@ __all__ = [
     "McReport",
     "Normal",
     "OptimizerError",
-    "OptimizerSettings",
     "Poisson",
     "PofResult",
     "Scenario",

@@ -26,6 +26,11 @@ from .metrics import Allocation, Scenario
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+V_TOLERANCE = 1e-9  # water-fill stops once the filled levels sum this close to the budget
+ELL_GRID = 512  # floors on the sweep grid before the golden-section refine
+REFINE_ITERATIONS = 60  # golden-section steps around the best grid floor
+MAX_BISECTION_STEPS = 200  # cap on the water-fill's bisection of the cdf level
+
 
 class OptimizerError(RuntimeError):
     """Optimizer failed to produce a valid allocation."""
@@ -37,23 +42,6 @@ class ConvergenceError(OptimizerError):
 
 class InfeasibleError(OptimizerError):
     """No allocation satisfies the requested constraints."""
-
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    v_tolerance: float = 1e-9
-    ell_grid: int = 512
-    refine_iterations: int = 60
-    max_bisection_steps: int = 200
-
-    def __post_init__(self):
-        if self.v_tolerance <= 0.0:
-            raise ValueError("v_tolerance must be positive")
-        if self.ell_grid < 1 or self.refine_iterations < 1 or self.max_bisection_steps < 1:
-            raise ValueError("grid sizes and iteration counts must be positive")
-
-
-DEFAULT_SETTINGS = OptimizerSettings()
 
 
 @dataclass(frozen=True)
@@ -89,6 +77,21 @@ def mean_weighted(scenario: Scenario) -> Allocation:
     z = scenario.total_mean
     r = scenario.resource
     return Allocation(tuple(r * m / z for m in scenario.means))
+
+
+def _bisect(pred, a, b):
+    """Halve [a, b] 60 times around the point where pred switches to true.
+
+    pred must be false left of that point and true right of it; the result
+    (a, b) keeps the last point where pred failed and the last where it held.
+    """
+    for _ in range(60):
+        m = 0.5 * (a + b)
+        if pred(m):
+            b = m
+        else:
+            a = m
+    return a, b
 
 
 class _Curve:
@@ -160,14 +163,7 @@ class _Curve:
         if self.xs is None:
             if self.em(self.cap) < t:
                 return None
-            a, b = 0.0, self.cap
-            for _ in range(60):
-                m = 0.5 * (a + b)
-                if self.em(m) >= t:
-                    b = m
-                else:
-                    a = m
-            return b
+            return _bisect(lambda v: self.em(v) >= t, 0.0, self.cap)[1]
         ems = self.ems
         idx = bisect.bisect_left(ems, t)
         if idx == 0:
@@ -196,14 +192,7 @@ class _Curve:
         if self.em(self.cap) <= t:
             return self.cap
         if self.xs is None:
-            a, b = 0.0, self.cap
-            for _ in range(60):
-                m = 0.5 * (a + b)
-                if self.em(m) <= t:
-                    a = m
-                else:
-                    b = m
-            return a
+            return _bisect(lambda v: self.em(v) > t, 0.0, self.cap)[0]
         idx = bisect.bisect_right(self.ems, t) - 1
         if idx < 0:
             return 0.0
@@ -216,14 +205,14 @@ class _Curve:
         return min(self.cap, v)
 
 
-def _water_fill(curves, budget, lo, hi, settings) -> list:
+def _water_fill(curves, budget, lo, hi) -> list:
     """Maximize sum of E[min(C_i, v_i)] s.t. sum v = budget, lo <= v <= hi.
 
     Bisects a common cdf level; any residual sitting on a survival step is
     assigned greedily by ascending group index (utilization-equivalent on
     the flat segment).
     """
-    feas_tol = max(settings.v_tolerance, 1e-9 * max(budget, 1.0))
+    feas_tol = max(V_TOLERANCE, 1e-9 * max(budget, 1.0))
     sum_lo, sum_hi = sum(lo), sum(hi)
     if sum_lo > budget + feas_tol or sum_hi < budget - feas_tol:
         raise InfeasibleError(
@@ -232,13 +221,13 @@ def _water_fill(curves, budget, lo, hi, settings) -> list:
         )
     s_lo, s_hi = 0.0, 1.0
     v_low, v_high = list(lo), list(hi)
-    for _ in range(settings.max_bisection_steps):
+    for _ in range(MAX_BISECTION_STEPS):
         if s_hi - s_lo <= 1e-18:
             break
         s_mid = 0.5 * (s_lo + s_hi)
         v_mid = [c.fill(s_mid, a, b) for c, a, b in zip(curves, lo, hi)]
         total = sum(v_mid)
-        if abs(total - budget) <= settings.v_tolerance:
+        if abs(total - budget) <= V_TOLERANCE:
             v_low = v_mid
             break
         if total < budget:
@@ -270,43 +259,47 @@ def _water_fill(curves, budget, lo, hi, settings) -> list:
     if abs(sum(v) - budget) > feas_tol:
         raise ConvergenceError(
             f"water-filling missed the budget by {sum(v) - budget!r} "
-            f"after {settings.max_bisection_steps} bisection steps"
+            f"after {MAX_BISECTION_STEPS} bisection steps"
         )
     return v
 
 
-def _saturating_allocation(scenario: Scenario, sups) -> Allocation:
-    # All demand satisfiable: saturate every support, spread the excess in
-    # mean proportions. Utilization is flat here; this choice keeps q_i = 1
-    # for every group, hence 0-fairness.
-    excess = scenario.resource - sum(sups)
-    z = scenario.total_mean
-    return Allocation(tuple(s + excess * m / z for s, m in zip(sups, scenario.means)))
+def _prologue(scenario: Scenario):
+    """Shared start of both optimizers: (shortcut allocation, None) or (None, curves).
+
+    A zero budget and a budget that covers every group's finite support have
+    a direct optimum; otherwise each group gets its curve on [0, budget].
+    """
+    budget = scenario.resource
+    if budget == 0.0:
+        return Allocation((0.0,) * scenario.size), None
+    sups = [g.dist.support_max() for g in scenario.groups]
+    if all(math.isfinite(s) for s in sups) and sum(sups) <= budget:
+        # All demand satisfiable: saturate every support, spread the excess in
+        # mean proportions. Utilization is flat here; this choice keeps q_i = 1
+        # for every group, hence 0-fairness.
+        excess = budget - sum(sups)
+        z = scenario.total_mean
+        return Allocation(tuple(s + excess * m / z for s, m in zip(sups, scenario.means))), None
+    return None, [_Curve(g.dist, budget) for g in scenario.groups]
 
 
-def max_utilization(scenario: Scenario, settings: Optional[OptimizerSettings] = None) -> Allocation:
+def max_utilization(scenario: Scenario) -> Allocation:
     """Unconstrained maximizer of total expected consumption (water-filling).
 
     At the optimum all interior groups with continuous demand share a common
     marginal Pr[C_i > v_i].
     """
-    settings = settings or DEFAULT_SETTINGS
+    shortcut, curves = _prologue(scenario)
+    if shortcut is not None:
+        return shortcut
     budget = scenario.resource
-    if budget == 0.0:
-        return Allocation((0.0,) * scenario.size)
-    sups = [g.dist.support_max() for g in scenario.groups]
-    if all(math.isfinite(s) for s in sups) and sum(sups) <= budget:
-        return _saturating_allocation(scenario, sups)
-    curves = [_Curve(g.dist, budget) for g in scenario.groups]
-    lo = [0.0] * scenario.size
-    hi = [min(budget, s) for s in sups]
-    v = _water_fill(curves, budget, lo, hi, settings)
-    return Allocation(tuple(v))
+    lo = [0.0] * len(curves)
+    hi = [min(budget, c.dist.support_max()) for c in curves]
+    return Allocation(tuple(_water_fill(curves, budget, lo, hi)))
 
 
-def alpha_fair_optimal(
-    scenario: Scenario, alpha: float, settings: Optional[OptimizerSettings] = None
-) -> Allocation:
+def alpha_fair_optimal(scenario: Scenario, alpha: float) -> Allocation:
     """Approximately maximize utilization subject to fairness Q <= alpha.
 
     Sweeps an availability floor ell over its feasible interval; each floor
@@ -315,21 +308,28 @@ def alpha_fair_optimal(
     water-filling; a golden-section pass refines around the best grid point.
     The result satisfies Q <= alpha + 1e-6 and sums to R within 1e-9 R.
     """
-    settings = settings or DEFAULT_SETTINGS
+    return _alpha_fair(scenario, alpha, None)
+
+
+def _alpha_fair(scenario: Scenario, alpha: float, v_max: Optional[Allocation]) -> Allocation:
+    # v_max is the max-utilization allocation when the caller already has it;
+    # it seeds the sweep and is the answer when the constraint is vacuous.
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha < 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha!r}")
+    if v_max is None:
+        v_max = max_utilization(scenario)
     if alpha >= 1.0:
         # Q <= 1 identically, so the constraint is vacuous.
-        return max_utilization(scenario, settings)
+        return v_max
+    shortcut, curves = _prologue(scenario)
+    if shortcut is not None:
+        return shortcut
     budget = scenario.resource
-    if budget == 0.0:
-        return Allocation((0.0,) * scenario.size)
-    sups = [g.dist.support_max() for g in scenario.groups]
-    if all(math.isfinite(s) for s in sups) and sum(sups) <= budget:
-        return _saturating_allocation(scenario, sups)
-    curves = [_Curve(g.dist, budget) for g in scenario.groups]
-    feas_tol = max(settings.v_tolerance, 1e-9 * max(budget, 1.0))
+    feas_tol = max(V_TOLERANCE, 1e-9 * max(budget, 1.0))
+    # Seed floors implied by the mean-weighted and unconstrained optima so
+    # the sweep never loses to a known-feasible allocation.
+    probes = (mean_weighted(scenario), v_max)
 
     # First pass inverts the fairness band exactly. Near availability 1 the
     # inverse dv/dq blows up (survival underflows), so adjacent representable
@@ -337,9 +337,9 @@ def alpha_fair_optimal(
     # widens each band by 1e-9 in availability, three orders inside the
     # Q <= alpha + 1e-6 contract, which restores feasibility there.
     try:
-        best_v = _floor_sweep(curves, budget, alpha, settings, feas_tol, scenario, 0.0)
+        best_v = _floor_sweep(curves, budget, alpha, feas_tol, probes, 0.0)
     except InfeasibleError:
-        best_v = _floor_sweep(curves, budget, alpha, settings, feas_tol, scenario, 1e-9)
+        best_v = _floor_sweep(curves, budget, alpha, feas_tol, probes, 1e-9)
 
     alloc = Allocation(tuple(best_v))
     gap = metrics.fairness(scenario, alloc)
@@ -350,21 +350,26 @@ def alpha_fair_optimal(
     return alloc
 
 
-def _floor_sweep(curves, budget, alpha, settings, feas_tol, scenario, band_slop):
+def _floor_sweep(curves, budget, alpha, feas_tol, probes, band_slop):
+    # Per-group box ends for floor ell: the least v reaching q = ell, and the
+    # most v keeping q <= ell + alpha (no top once the band reaches 1).
+    def lows(ell):
+        return [c.lowest_v_with_q_at_least(max(ell - band_slop, 0.0)) for c in curves]
+
+    def highs(ell):
+        band_top = ell + alpha + band_slop
+        if band_top >= 1.0:
+            return [budget] * len(curves)
+        return [c.highest_v_with_q_at_most(band_top) for c in curves]
+
     def boxes(ell):
-        lo, hi = [], []
-        for c in curves:
-            low = c.lowest_v_with_q_at_least(max(ell - band_slop, 0.0))
-            if low is None:
+        lo, hi = lows(ell), highs(ell)
+        if None in lo:
+            return None
+        for i, (low, high) in enumerate(zip(lo, hi)):
+            if high < low - 1e-9:
                 return None
-            band_top = ell + alpha + band_slop
-            high = budget if band_top >= 1.0 else c.highest_v_with_q_at_most(band_top)
-            if high < low:
-                if high < low - 1e-9:
-                    return None
-                high = low
-            lo.append(low)
-            hi.append(high)
+            hi[i] = max(high, low)
         return lo, hi
 
     def solve(ell):
@@ -375,7 +380,7 @@ def _floor_sweep(curves, budget, alpha, settings, feas_tol, scenario, band_slop)
         if sum(lo) > budget + feas_tol or sum(hi) < budget - feas_tol:
             return None
         try:
-            v = _water_fill(curves, budget, lo, hi, settings)
+            v = _water_fill(curves, budget, lo, hi)
         except InfeasibleError:
             return None
         value = sum(c.em(x) for c, x in zip(curves, v))
@@ -385,44 +390,21 @@ def _floor_sweep(curves, budget, alpha, settings, feas_tol, scenario, band_slop)
     # boxes genuinely bracket the budget, else grid points sit a tolerance
     # outside feasibility and the clamped fill cannot meet the budget.
     def lo_fits(ell):
-        total = 0.0
-        for c in curves:
-            low = c.lowest_v_with_q_at_least(max(ell - band_slop, 0.0))
-            if low is None:
-                return False
-            total += low
-        return total <= budget
+        lo = lows(ell)
+        return None not in lo and sum(lo) <= budget
 
     def hi_reaches(ell):
-        band_top = ell + alpha + band_slop
-        if band_top >= 1.0:
-            return True
-        total = sum(c.highest_v_with_q_at_most(band_top) for c in curves)
-        return total >= budget
+        return sum(highs(ell)) >= budget
 
     # The feasible floors form an interval: both predicates are monotone in ell.
     if lo_fits(1.0):
         ell_max = 1.0
     else:
-        a, b = 0.0, 1.0
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            if lo_fits(m):
-                a = m
-            else:
-                b = m
-        ell_max = a
+        ell_max = _bisect(lambda ell: not lo_fits(ell), 0.0, 1.0)[0]
     if hi_reaches(0.0):
         ell_min = 0.0
     else:
-        a, b = 0.0, 1.0
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            if hi_reaches(m):
-                b = m
-            else:
-                a = m
-        ell_min = b
+        ell_min = _bisect(hi_reaches, 0.0, 1.0)[1]
     if ell_min > ell_max + 1e-9:
         raise InfeasibleError(
             f"no availability floor admits a feasible fairness band for alpha={alpha!r}"
@@ -435,12 +417,9 @@ def _floor_sweep(curves, budget, alpha, settings, feas_tol, scenario, band_slop)
         # two representable ends (e.g. the band top crossing 1.0 exactly)
         candidates = sorted({ell_min, ell_max})
     else:
-        n = max(settings.ell_grid, 2)
-        step = width / (n - 1)
-        candidates = [ell_min + i * step for i in range(n)]
-        # Seed floors implied by the mean-weighted and unconstrained optima so
-        # the sweep never loses to a known-feasible allocation.
-        for probe in (mean_weighted(scenario), max_utilization(scenario, settings)):
+        step = width / (ELL_GRID - 1)
+        candidates = [ell_min + i * step for i in range(ELL_GRID)]
+        for probe in probes:
             qs = [c.q(v) for c, v in zip(curves, probe.values)]
             candidates.append(min(max(min(qs), ell_min), ell_max))
         candidates = sorted(set(candidates))
@@ -457,7 +436,6 @@ def _floor_sweep(curves, budget, alpha, settings, feas_tol, scenario, band_slop)
         )
 
     if width > 1e-12:
-        step = width / (max(settings.ell_grid, 2) - 1)
         a = max(ell_min, best_ell - step)
         b = min(ell_max, best_ell + step)
 
@@ -473,7 +451,7 @@ def _floor_sweep(curves, budget, alpha, settings, feas_tol, scenario, band_slop)
         c = b - _GOLDEN * (b - a)
         d = a + _GOLDEN * (b - a)
         fc, fd = score(c), score(d)
-        for _ in range(settings.refine_iterations):
+        for _ in range(REFINE_ITERATIONS):
             if fc >= fd:
                 b, d, fd = d, c, fc
                 c = b - _GOLDEN * (b - a)
@@ -487,18 +465,15 @@ def _floor_sweep(curves, budget, alpha, settings, feas_tol, scenario, band_slop)
 
 
 def pof(
-    scenario: Scenario,
-    alpha: float,
-    settings: Optional[OptimizerSettings] = None,
-    certificate: Optional[TailCertificate] = None,
+    scenario: Scenario, alpha: float, certificate: Optional[TailCertificate] = None
 ) -> PofResult:
     """Ratio of the unconstrained utilization optimum to the alpha-fair optimum."""
     alpha = float(alpha)
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"pof requires 0 <= alpha < 1, got {alpha!r}")
-    v_max = max_utilization(scenario, settings)
+    v_max = max_utilization(scenario)
     u_max = metrics.utilization(scenario, v_max)
-    v_fair = alpha_fair_optimal(scenario, alpha, settings)
+    v_fair = _alpha_fair(scenario, alpha, v_max)
     u_fair = metrics.utilization(scenario, v_fair)
     if u_fair <= 0.0:
         ratio = 1.0 if u_max <= 0.0 else math.inf

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
 
 from . import allocation, certificates, metrics, montecarlo, scenario_io
 from .distributions import DistributionError
@@ -53,8 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument("--seed", type=int, help=f"sampling seed (default {DEFAULT_SEED})")
         cmd.add_argument("--samples", type=int, help=f"sample count (default {DEFAULT_SAMPLES})")
-        cmd.add_argument("--ell-grid", type=int, help="floor sweep grid size")
-        cmd.add_argument("--refine-iterations", type=int, help="floor refinement iterations")
         return cmd
 
     add_command("allocate", "mean-weighted allocation")
@@ -70,17 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     mc = add_command("mc-check", "Monte Carlo vs exact comparison table")
     mc.add_argument("--allocation", help="comma-separated per-group amounts (default: mean-weighted)")
     return parser
-
-
-def _settings(args) -> Optional[allocation.OptimizerSettings]:
-    overrides = {}
-    if args.ell_grid is not None:
-        overrides["ell_grid"] = args.ell_grid
-    if args.refine_iterations is not None:
-        overrides["refine_iterations"] = args.refine_iterations
-    if not overrides:
-        return None
-    return allocation.OptimizerSettings(**overrides)
 
 
 def _parse_allocation(text, scenario) -> metrics.Allocation:
@@ -169,9 +155,8 @@ def _cmd_evaluate(args, sf) -> int:
 
 def _cmd_optimize(args, sf) -> int:
     scenario = sf.scenario
-    settings = _settings(args)
     alpha = _resolve(args.alpha, sf.defaults.alpha)
-    v_max = allocation.max_utilization(scenario, settings)
+    v_max = allocation.max_utilization(scenario)
     u_max = metrics.utilization(scenario, v_max)
     result = {
         "max_utilization": {
@@ -188,7 +173,7 @@ def _cmd_optimize(args, sf) -> int:
     columns = ["group", "v_max_utilization", "max_utilization"]
     summary = f"max utilization {u_max:.6g}"
     if alpha is not None:
-        v_fair = allocation.alpha_fair_optimal(scenario, alpha, settings)
+        v_fair = allocation.alpha_fair_optimal(scenario, alpha)
         u_fair = metrics.utilization(scenario, v_fair)
         result["alpha_fair"] = {
             "alpha": alpha,
@@ -268,7 +253,7 @@ def _cmd_pof(args, sf) -> int:
     cert = None
     if epsilon is not None:
         cert = certificates.scenario_certificate(scenario, epsilon, args.method)
-    result = allocation.pof(scenario, alpha, _settings(args), cert)
+    result = allocation.pof(scenario, alpha, cert)
     row = {
         "alpha": result.alpha,
         "unconstrained_utilization": result.unconstrained_utilization,

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import oracles
 import strategies
 from fairalloc.allocation import (
-    OptimizerSettings,
     alpha_fair_optimal,
     max_utilization,
     mean_weighted,
@@ -333,18 +332,3 @@ def test_scaled_exponential_max_utilization_is_zero_fair(means, ratio):
     sc = scenario(budget, *(Exponential(m) for m in means))
     alloc = max_utilization(sc)
     assert fairness(sc, alloc) <= 1e-6
-
-
-# ---------------------------------------------------------------- settings
-
-def test_optimizer_settings_validation():
-    with pytest.raises(ValueError):
-        OptimizerSettings(v_tolerance=0.0)
-    with pytest.raises(ValueError):
-        OptimizerSettings(ell_grid=0)
-    with pytest.raises(ValueError):
-        OptimizerSettings(refine_iterations=-1)
-    custom = OptimizerSettings(ell_grid=64, refine_iterations=16)
-    sc = scenario(200.0, Poisson(50.0), Poisson(200.0))
-    alloc = alpha_fair_optimal(sc, 0.1, custom)
-    assert fairness(sc, alloc) <= 0.1 + 1e-6

@@ -257,8 +257,9 @@ def test_invalid_scenario_is_validation_error(capsys, tmp_path):
     assert "resource" in err
 
 
-def test_unknown_flag_is_validation_error(capsys, poisson3):
-    code, _, err = run(capsys, "allocate", "--scenario", poisson3, "--bogus")
+@pytest.mark.parametrize("flag", [["--bogus"], ["--ell-grid", "64"], ["--refine-iterations", "16"]])
+def test_unknown_flag_is_validation_error(capsys, poisson3, flag):
+    code, _, err = run(capsys, "pof", "--scenario", poisson3, "--alpha", "0.1", *flag)
     assert code == EXIT_VALIDATION
 
 
