@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from . import metrics
+from . import certificates, metrics
 from .certificates import TailCertificate
 from .distributions import DemandDistribution
 from .metrics import Allocation, Scenario
@@ -46,13 +46,17 @@ class InfeasibleError(OptimizerError):
 
 @dataclass(frozen=True)
 class PofResult:
-    """Price of fairness at a given alpha, with the certified bounds attached."""
+    """Price of fairness at a given alpha, with the certified bounds attached.
+
+    Both bounds come from ``certificates.theoretical_bounds`` and are None
+    without a certificate or when the certificate does not support them.
+    """
 
     alpha: float
     unconstrained_utilization: float
     constrained_utilization: float
     pof: float
-    bound_1_over_1_minus_alpha: float
+    bound_1_over_1_minus_alpha: Optional[float]
     bound_1_plus_2alpha: Optional[float]
     certificate: Optional[TailCertificate]
     max_utilization_allocation: Allocation
@@ -479,18 +483,16 @@ def pof(
         ratio = 1.0 if u_max <= 0.0 else math.inf
     else:
         ratio = u_max / u_fair
-    bound_small = None
+    bounds = None
     if certificate is not None:
-        tail_sum = certificate.epsilon + certificate.delta
-        if tail_sum <= 0.5 and alpha >= tail_sum:
-            bound_small = 1.0 + 2.0 * alpha
+        bounds = certificates.theoretical_bounds(certificate, scenario, alpha)
     return PofResult(
         alpha=alpha,
         unconstrained_utilization=u_max,
         constrained_utilization=u_fair,
         pof=ratio,
-        bound_1_over_1_minus_alpha=1.0 / (1.0 - alpha),
-        bound_1_plus_2alpha=bound_small,
+        bound_1_over_1_minus_alpha=bounds.pof_bound if bounds else None,
+        bound_1_plus_2alpha=bounds.pof_bound_small if bounds else None,
         certificate=certificate,
         max_utilization_allocation=v_max,
         alpha_fair_allocation=v_fair,

@@ -295,6 +295,17 @@ def test_pof_bounds_attachment():
     assert weak_result.bound_1_plus_2alpha is None
 
 
+def test_pof_bounds_follow_theoretical_bounds():
+    # eps + delta exceeds alpha, so neither bound holds; without a
+    # certificate there is nothing to bound with
+    sc = scenario(220.0, Poisson(20.0), Poisson(200.0))
+    cert = scenario_certificate(sc, 0.1)
+    assert cert.epsilon + cert.delta > 0.05
+    for result in (pof(sc, 0.05, certificate=cert), pof(sc, 0.05)):
+        assert result.bound_1_over_1_minus_alpha is None
+        assert result.bound_1_plus_2alpha is None
+
+
 def test_pof_at_least_one():
     cases = [
         scenario(200.0, Poisson(50.0), Poisson(200.0)),
