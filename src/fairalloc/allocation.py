@@ -115,6 +115,8 @@ class _Curve:
             self.xs = None
         else:
             self.xs, self.cdfs, self.sfs, self.ems = table
+        # negative for a normal model with mass below zero
+        self.em0 = self.em(0.0)
 
     def em(self, v: float) -> float:
         if self.xs is None:
@@ -161,17 +163,15 @@ class _Curve:
 
     def lowest_v_with_q_at_least(self, target: float) -> Optional[float]:
         """Smallest v in [0, cap] with q(v) >= target, or None if unreachable."""
-        if target <= 0.0:
-            return 0.0
         t = target * self.mu
+        if self.em0 >= t:
+            return 0.0
         if self.xs is None:
             if self.em(self.cap) < t:
                 return None
             return _bisect(lambda v: self.em(v) >= t, 0.0, self.cap)[1]
         ems = self.ems
-        idx = bisect.bisect_left(ems, t)
-        if idx == 0:
-            return 0.0
+        idx = bisect.bisect_left(ems, t)  # >= 1, since ems[0] = em0 < t
         if idx >= len(ems):
             sf = self.sfs[-1]
             if sf <= 0.0:
@@ -190,16 +190,16 @@ class _Curve:
             return None
         return v
 
-    def highest_v_with_q_at_most(self, target: float) -> float:
-        """Largest v in [0, cap] with q(v) <= target (target >= 0)."""
+    def highest_v_with_q_at_most(self, target: float) -> Optional[float]:
+        """Largest v in [0, cap] with q(v) <= target, or None if q(0) > target."""
         t = target * self.mu
+        if self.em0 > t:
+            return None
         if self.em(self.cap) <= t:
             return self.cap
         if self.xs is None:
             return _bisect(lambda v: self.em(v) > t, 0.0, self.cap)[0]
-        idx = bisect.bisect_right(self.ems, t) - 1
-        if idx < 0:
-            return 0.0
+        idx = bisect.bisect_right(self.ems, t) - 1  # >= 0, since ems[0] = em0 <= t
         sf = self.sfs[idx]
         if sf <= 0.0:
             return self.cap
@@ -356,9 +356,10 @@ def _alpha_fair(scenario: Scenario, alpha: float, v_max: Optional[Allocation]) -
 
 def _floor_sweep(curves, budget, alpha, feas_tol, probes, band_slop):
     # Per-group box ends for floor ell: the least v reaching q = ell, and the
-    # most v keeping q <= ell + alpha (no top once the band reaches 1).
+    # most v keeping q <= ell + alpha (no top once the band reaches 1). None
+    # marks a group that cannot meet its end of the band.
     def lows(ell):
-        return [c.lowest_v_with_q_at_least(max(ell - band_slop, 0.0)) for c in curves]
+        return [c.lowest_v_with_q_at_least(ell - band_slop) for c in curves]
 
     def highs(ell):
         band_top = ell + alpha + band_slop
@@ -368,7 +369,7 @@ def _floor_sweep(curves, budget, alpha, feas_tol, probes, band_slop):
 
     def boxes(ell):
         lo, hi = lows(ell), highs(ell)
-        if None in lo:
+        if None in lo or None in hi:
             return None
         for i, (low, high) in enumerate(zip(lo, hi)):
             if high < low - 1e-9:
@@ -398,17 +399,21 @@ def _floor_sweep(curves, budget, alpha, feas_tol, probes, band_slop):
         return None not in lo and sum(lo) <= budget
 
     def hi_reaches(ell):
-        return sum(highs(ell)) >= budget
+        hi = highs(ell)
+        return None not in hi and sum(hi) >= budget
 
     # The feasible floors form an interval: both predicates are monotone in ell.
+    # No allocation has an availability below the lowest q_i(0), which is
+    # negative when a normal model puts mass below zero.
+    q0 = min(c.em0 / c.mu for c in curves)
     if lo_fits(1.0):
         ell_max = 1.0
     else:
-        ell_max = _bisect(lambda ell: not lo_fits(ell), 0.0, 1.0)[0]
-    if hi_reaches(0.0):
-        ell_min = 0.0
+        ell_max = _bisect(lambda ell: not lo_fits(ell), q0, 1.0)[0]
+    if hi_reaches(q0):
+        ell_min = q0
     else:
-        ell_min = _bisect(hi_reaches, 0.0, 1.0)[1]
+        ell_min = _bisect(hi_reaches, q0, 1.0)[1]
     if ell_min > ell_max + 1e-9:
         raise InfeasibleError(
             f"no availability floor admits a feasible fairness band for alpha={alpha!r}"

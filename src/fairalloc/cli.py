@@ -3,7 +3,8 @@
 Seven commands over a scenario file: allocate, evaluate, optimize, certify,
 pof, curve, mc-check. Machine-readable reports (JSON or CSV) go to --output
 or stdout; human-readable summaries and errors go to stderr. Exit codes:
-0 success, 1 validation error, 2 optimizer non-convergence.
+0 success, 1 validation error or infeasible constraints, 2 optimizer
+non-convergence.
 """
 
 from __future__ import annotations
@@ -365,6 +366,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         sf = scenario_io.load_scenario_path(args.scenario)
         return _HANDLERS[args.command](args, sf)
+    except allocation.InfeasibleError as exc:
+        # no allocation meets the constraints: a property of the input
+        print(f"fairalloc: infeasible: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except allocation.OptimizerError as exc:
         print(f"fairalloc: optimizer error: {exc}", file=sys.stderr)
         return EXIT_OPTIMIZER

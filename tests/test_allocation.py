@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import oracles
 import strategies
 from fairalloc.allocation import (
+    InfeasibleError,
     alpha_fair_optimal,
     max_utilization,
     mean_weighted,
@@ -254,6 +255,23 @@ def test_alpha_fair_saturation_edge_cases(sc_alpha):
     mw = mean_weighted(sc)
     if fairness(sc, mw) <= alpha:
         assert utilization(sc, alloc) >= utilization(sc, mw) - 1e-6
+
+
+@pytest.mark.parametrize("alpha", [0.15, 0.2, 0.5])
+def test_alpha_fair_with_negative_availability_at_zero(alpha):
+    # regression: q_a(0) = -1.145 lies below the floor range the sweep used
+    # to search, [0, 1], so every floor was rejected
+    sc = scenario(10.0, Normal(5.0, 20.0), Normal(50.0, 5.0))
+    alloc = alpha_fair_optimal(sc, alpha)
+    assert abs(alloc.total - sc.resource) <= 1e-9 * sc.resource
+    assert fairness(sc, alloc) <= alpha + 1e-6
+
+
+def test_alpha_fair_below_the_least_reachable_gap_is_infeasible():
+    # q_a(10) = -0.145 and q_b >= 0, so every allocation has Q >= 0.145
+    sc = scenario(10.0, Normal(5.0, 20.0), Normal(50.0, 5.0))
+    with pytest.raises(InfeasibleError, match="no availability floor admits"):
+        alpha_fair_optimal(sc, 0.1)
 
 
 # ---------------------------------------------------------------- price of fairness

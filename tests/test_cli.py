@@ -263,11 +263,19 @@ def test_unknown_flag_is_validation_error(capsys, poisson3, flag):
     assert code == EXIT_VALIDATION
 
 
-def test_optimizer_failures_exit_two(capsys, poisson3, monkeypatch):
+@pytest.mark.parametrize(
+    "error,expected",
+    [
+        (allocation_module.ConvergenceError, EXIT_OPTIMIZER),
+        # infeasible constraints are a property of the input
+        (allocation_module.InfeasibleError, EXIT_VALIDATION),
+    ],
+)
+def test_optimizer_failure_exit_codes(capsys, poisson3, monkeypatch, error, expected):
     def boom(*args, **kwargs):
-        raise allocation_module.ConvergenceError("forced failure")
+        raise error("forced failure")
 
     monkeypatch.setattr(allocation_module, "max_utilization", boom)
     code, _, err = run(capsys, "optimize", "--scenario", poisson3)
-    assert code == EXIT_OPTIMIZER
+    assert code == expected
     assert "forced failure" in err
