@@ -11,7 +11,7 @@ of fairness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .distributions import DemandDistribution
@@ -151,12 +151,7 @@ class TailCertificate:
             raise CertificateError("delta must equal the maximum per-group delta")
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "method": self.method,
-            "per_group_deltas": list(self.per_group_deltas),
-        }
+        return asdict(self)
 
 
 def scenario_certificate(
@@ -203,17 +198,7 @@ class TheoreticalBounds:
     low_resource: bool
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "fairness_bound": self.fairness_bound,
-            "fairness_bound_low_resource": self.fairness_bound_low_resource,
-            "utilization_fraction": self.utilization_fraction,
-            "utilization_fraction_low_resource": self.utilization_fraction_low_resource,
-            "pof_bound": self.pof_bound,
-            "pof_bound_small": self.pof_bound_small,
-            "low_resource": self.low_resource,
-        }
+        return asdict(self)
 
 
 def theoretical_bounds(

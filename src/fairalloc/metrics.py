@@ -9,7 +9,7 @@ when Q <= alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import certificates
@@ -154,11 +154,7 @@ class GroupReport:
     availability: float
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "allocation": self.allocation,
-            "availability": self.availability,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -184,21 +180,7 @@ class BoundCheck:
     utilization_low_resource_ok: Optional[bool]
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "method": self.method,
-            "fairness_bound": self.fairness_bound,
-            "fairness_bound_low_resource": self.fairness_bound_low_resource,
-            "utilization_bound": self.utilization_bound,
-            "utilization_bound_low_resource": self.utilization_bound_low_resource,
-            "pof_bound": self.pof_bound,
-            "pof_bound_small": self.pof_bound_small,
-            "fairness_ok": self.fairness_ok,
-            "fairness_low_resource_ok": self.fairness_low_resource_ok,
-            "utilization_ok": self.utilization_ok,
-            "utilization_low_resource_ok": self.utilization_low_resource_ok,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -212,15 +194,7 @@ class EvaluationReport:
     warnings: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "resource": self.resource,
-            "total_mean": self.total_mean,
-            "groups": [g.to_dict() for g in self.groups],
-            "utilization": self.utilization,
-            "fairness": self.fairness,
-            "bounds": self.bounds.to_dict() if self.bounds is not None else None,
-            "warnings": list(self.warnings),
-        }
+        return asdict(self)
 
     def to_csv_rows(self) -> list:
         """One flat row per group; scenario-level columns repeat on each row."""

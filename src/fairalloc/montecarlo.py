@@ -10,7 +10,7 @@ is fixed by the sample count alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,12 +28,7 @@ class McEstimate:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "standard_error": self.standard_error,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _check_samples(samples: int) -> int:
@@ -82,12 +77,7 @@ class McGroupReport:
     availability: McEstimate
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "allocation": self.allocation,
-            "expected_min": self.expected_min.to_dict(),
-            "availability": self.availability.to_dict(),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -101,13 +91,7 @@ class McReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "groups": [g.to_dict() for g in self.groups],
-            "utilization": self.utilization.to_dict(),
-            "fairness": self.fairness.to_dict(),
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def estimate_report(
