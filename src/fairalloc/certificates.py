@@ -126,6 +126,21 @@ def min_parameter_threshold(
     )
 
 
+def chernoff_threshold(dist: DemandDistribution, epsilon: float, delta: float) -> Optional[float]:
+    """``min_parameter_threshold`` for the family of ``dist`` at its other parameter.
+
+    None for kinds that have no Chernoff bound.
+    """
+    kind = dist.kind
+    if kind == "binomial":
+        return min_parameter_threshold(kind, epsilon, delta, p=dist.p)
+    if kind == "normal":
+        return min_parameter_threshold(kind, epsilon, delta, sigma=dist.sigma)
+    if kind == "poisson":
+        return min_parameter_threshold(kind, epsilon, delta)
+    return None
+
+
 @dataclass(frozen=True)
 class TailCertificate:
     """Statement that every group satisfies Pr[C <= (1-epsilon) mu] <= delta.

@@ -210,17 +210,7 @@ def _cmd_certify(args, sf) -> int:
             chernoff = None
         threshold = None
         if target is not None:
-            kind = group.dist.kind
-            if kind == "binomial":
-                threshold = certificates.min_parameter_threshold(
-                    "binomial", epsilon, target, p=group.dist.p
-                )
-            elif kind == "normal":
-                threshold = certificates.min_parameter_threshold(
-                    "normal", epsilon, target, sigma=group.dist.sigma
-                )
-            elif kind == "poisson":
-                threshold = certificates.min_parameter_threshold("poisson", epsilon, target)
+            threshold = certificates.chernoff_threshold(group.dist, epsilon, target)
         rows.append(
             {
                 "group": group.name,

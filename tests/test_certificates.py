@@ -9,6 +9,7 @@ from fairalloc.certificates import (
     TailCertificate,
     bennett_h,
     chernoff_delta,
+    chernoff_threshold,
     exact_lower_deviation,
     min_parameter_threshold,
     scenario_certificate,
@@ -124,6 +125,16 @@ def test_threshold_boundary_is_sharp():
     lam_min = min_parameter_threshold("poisson", 0.1, 0.01)
     assert chernoff_delta(Poisson(lam_min), 0.1) <= 0.01 + 1e-12
     assert chernoff_delta(Poisson(lam_min * 0.99), 0.1) > 0.01
+
+
+def test_chernoff_threshold_dispatches_on_family():
+    assert chernoff_threshold(Binomial(100, 0.5), 0.1, 0.01) == 1843
+    assert chernoff_threshold(Normal(50.0, 10.0), 0.1, 0.01) == min_parameter_threshold(
+        "normal", 0.1, 0.01, sigma=10.0
+    )
+    assert chernoff_threshold(Poisson(5.0), 0.1, 0.01) == min_parameter_threshold("poisson", 0.1, 0.01)
+    for dist in (Constant(3.0), TwoPoint(4.0), Exponential(2.0)):
+        assert chernoff_threshold(dist, 0.1, 0.01) is None
 
 
 def test_threshold_validation():
