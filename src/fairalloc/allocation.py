@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import certificates, metrics
-from .certificates import TailCertificate
 from .distributions import DemandDistribution
 from .metrics import Allocation, Scenario
 
@@ -58,7 +57,7 @@ class PofResult:
     pof: float
     bound_1_over_1_minus_alpha: Optional[float]
     bound_1_plus_2alpha: Optional[float]
-    certificate: Optional[TailCertificate]
+    certificate: Optional[certificates.TailCertificate]
     max_utilization_allocation: Allocation
     alpha_fair_allocation: Allocation
 
@@ -86,8 +85,8 @@ def mean_weighted(scenario: Scenario) -> Allocation:
 def _bisect(pred, a, b):
     """Halve [a, b] 60 times around the point where pred switches to true.
 
-    pred must be false left of that point and true right of it; the result
-    (a, b) keeps the last point where pred failed and the last where it held.
+    pred must be false left of that point and true right of it. Returns the
+    final bracket (a, b).
     """
     for _ in range(60):
         m = 0.5 * (a + b)
@@ -474,7 +473,7 @@ def _floor_sweep(curves, budget, alpha, feas_tol, probes, band_slop):
 
 
 def pof(
-    scenario: Scenario, alpha: float, certificate: Optional[TailCertificate] = None
+    scenario: Scenario, alpha: float, certificate: Optional[certificates.TailCertificate] = None
 ) -> PofResult:
     """Ratio of the unconstrained utilization optimum to the alpha-fair optimum."""
     alpha = float(alpha)
