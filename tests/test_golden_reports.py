@@ -10,8 +10,8 @@ alter reports regenerates them with
 and the diff of ``tests/golden/reports`` shows exactly what moved.
 """
 
+import os
 import pathlib
-import sys
 
 import pytest
 
@@ -67,8 +67,6 @@ def test_report_matches_golden(command, scenario, fmt, tmp_path, monkeypatch):
 
 
 def regenerate():
-    import os
-
     os.chdir(GOLDEN)
     reports = GOLDEN / "reports"
     reports.mkdir(exist_ok=True)
@@ -80,4 +78,3 @@ def regenerate():
 
 if __name__ == "__main__":
     regenerate()
-    sys.exit(0)
