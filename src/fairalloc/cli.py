@@ -10,6 +10,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from . import allocation, certificates, metrics, montecarlo, scenario_io
@@ -34,47 +35,42 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+# Every flag a command may read beyond --scenario, --output and --format.
+_FLAGS = {
+    "alpha": dict(type=float, help="fairness tolerance"),
+    "epsilon": dict(type=float, help="lower-deviation epsilon"),
+    "method": dict(choices=certificates.METHODS, default=certificates.EXACT_CDF,
+                   help="certificate method"),
+    "allocation": dict(help="comma-separated per-group amounts (default: mean-weighted)"),
+    "delta": dict(type=float, help="target delta for threshold/pass columns"),
+    "v-max": dict(type=float, help="grid end (default: twice the largest mean)"),
+    "steps": dict(type=int, default=201, help="grid size (default 201)"),
+    "seed": dict(type=int, help=f"sampling seed (default {DEFAULT_SEED})"),
+    "samples": dict(type=int, help=f"sample count (default {DEFAULT_SAMPLES})"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fairalloc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name, help_text):
+    for name, (_, help_text, flags) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--scenario", required=True, help="path to a scenario JSON file")
         cmd.add_argument("--output", help="write the report here instead of stdout")
         cmd.add_argument("--format", choices=("json", "csv"), default="json")
-        cmd.add_argument("--alpha", type=float, help="fairness tolerance")
-        cmd.add_argument("--epsilon", type=float, help="lower-deviation epsilon")
-        cmd.add_argument(
-            "--method",
-            choices=certificates.METHODS,
-            default=certificates.EXACT_CDF,
-            help="certificate method",
-        )
-        cmd.add_argument("--seed", type=int, help=f"sampling seed (default {DEFAULT_SEED})")
-        cmd.add_argument("--samples", type=int, help=f"sample count (default {DEFAULT_SAMPLES})")
-        return cmd
-
-    add_command("allocate", "mean-weighted allocation")
-    ev = add_command("evaluate", "availability/utilization/fairness of an allocation")
-    ev.add_argument("--allocation", help="comma-separated per-group amounts (default: mean-weighted)")
-    add_command("optimize", "max-utilization and alpha-fair allocations")
-    ce = add_command("certify", "per-group lower-deviation certificate table")
-    ce.add_argument("--delta", type=float, help="target delta for threshold/pass columns")
-    add_command("pof", "price of fairness at a given alpha")
-    cu = add_command("curve", "availability curve per group")
-    cu.add_argument("--v-max", type=float, help="grid end (default: twice the largest mean)")
-    cu.add_argument("--steps", type=int, default=201, help="grid size (default 201)")
-    mc = add_command("mc-check", "Monte Carlo vs exact comparison table")
-    mc.add_argument("--allocation", help="comma-separated per-group amounts (default: mean-weighted)")
+        for flag in flags:
+            cmd.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
-def _parse_allocation(text, scenario) -> metrics.Allocation:
+def _allocation(args, scenario) -> metrics.Allocation:
+    """The --allocation amounts, or the mean-weighted split without the flag."""
+    if not args.allocation:
+        return allocation.mean_weighted(scenario)
     try:
-        values = tuple(float(part) for part in text.split(","))
+        values = tuple(float(part) for part in args.allocation.split(","))
     except ValueError as exc:
-        raise CliError(f"--allocation must be comma-separated numbers, got {text!r}") from exc
+        raise CliError(f"--allocation must be comma-separated numbers, got {args.allocation!r}") from exc
     alloc = metrics.Allocation(values)
     metrics.check_allocation(scenario, alloc)
     return alloc
@@ -88,15 +84,21 @@ def _resolve(flag_value, default_value, fallback=None):
     return fallback
 
 
-def _emit(args, envelope: dict, csv_rows, csv_columns, summary: str) -> None:
+def _emit(args, sf, settings: dict, result: dict, csv_rows, csv_columns, summary: str) -> None:
+    """Write the report for args.command and its one-line summary.
+
+    The JSON envelope leads its settings with the scenario path; the CSV
+    form carries the version and input digest on every row.
+    """
+    envelope = scenario_io.report_envelope(
+        args.command, {"scenario": args.scenario, **settings}, sf.digest, result
+    )
     if args.format == "csv":
         for row in csv_rows:
             row.setdefault("tool_version", envelope["version"])
             row.setdefault("input_digest", envelope["input_digest"])
         text = scenario_io.rows_to_csv(csv_rows, csv_columns + ["tool_version", "input_digest"])
     else:
-        import json
-
         text = json.dumps(envelope, indent=2) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -106,55 +108,38 @@ def _emit(args, envelope: dict, csv_rows, csv_columns, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
-def _cmd_allocate(args, sf) -> int:
+def _cmd_allocate(args, sf) -> None:
     scenario = sf.scenario
     alloc = allocation.mean_weighted(scenario)
     rows = [
         {"group": g.name, "mean": g.dist.mean(), "allocation": v}
         for g, v in zip(scenario.groups, alloc.values)
     ]
-    envelope = scenario_io.report_envelope(
-        "allocate",
-        {"scenario": args.scenario},
-        sf.digest,
-        {
-            "resource": scenario.resource,
-            "total_mean": scenario.total_mean,
-            "groups": rows,
-        },
-    )
-    _emit(args, envelope, rows, ["group", "mean", "allocation"],
+    result = {"resource": scenario.resource, "total_mean": scenario.total_mean, "groups": rows}
+    _emit(args, sf, {}, result, rows, ["group", "mean", "allocation"],
           f"mean-weighted allocation over {scenario.size} groups, resource {scenario.resource}")
-    return EXIT_OK
 
 
-def _cmd_evaluate(args, sf) -> int:
+def _cmd_evaluate(args, sf) -> None:
     scenario = sf.scenario
-    alloc = (
-        _parse_allocation(args.allocation, scenario)
-        if args.allocation
-        else allocation.mean_weighted(scenario)
-    )
+    alloc = _allocation(args, scenario)
     epsilon = _resolve(args.epsilon, sf.defaults.epsilon)
     alpha = _resolve(args.alpha, sf.defaults.alpha)
     report = metrics.evaluate(
         scenario, alloc, epsilon=epsilon, method=args.method, alpha=alpha
     )
-    settings = {"scenario": args.scenario, "epsilon": epsilon, "alpha": alpha,
+    settings = {"epsilon": epsilon, "alpha": alpha,
                 "method": args.method if epsilon is not None else None,
                 "allocation": list(alloc.values)}
-    envelope = scenario_io.report_envelope("evaluate", settings, sf.digest, report.to_dict())
-    rows = report.to_csv_rows()
     columns = ["group", "v", "q", "utilization", "fairness"]
     if report.bounds is not None:
         columns += ["epsilon", "delta", "fairness_bound", "utilization_bound",
                     "fairness_ok", "utilization_ok"]
-    _emit(args, envelope, rows, columns,
+    _emit(args, sf, settings, report.to_dict(), report.to_csv_rows(), columns,
           f"utilization {report.utilization:.6g}, fairness {report.fairness:.6g}")
-    return EXIT_OK
 
 
-def _cmd_optimize(args, sf) -> int:
+def _cmd_optimize(args, sf) -> None:
     scenario = sf.scenario
     alpha = _resolve(args.alpha, sf.defaults.alpha)
     v_max = allocation.max_utilization(scenario)
@@ -187,14 +172,10 @@ def _cmd_optimize(args, sf) -> int:
             row["alpha_fair_utilization"] = u_fair
         columns += ["v_alpha_fair", "alpha_fair_utilization"]
         summary += f"; alpha-fair utilization {u_fair:.6g} at alpha={alpha}"
-    envelope = scenario_io.report_envelope(
-        "optimize", {"scenario": args.scenario, "alpha": alpha}, sf.digest, result
-    )
-    _emit(args, envelope, rows, columns, summary)
-    return EXIT_OK
+    _emit(args, sf, {"alpha": alpha}, result, rows, columns, summary)
 
 
-def _cmd_certify(args, sf) -> int:
+def _cmd_certify(args, sf) -> None:
     scenario = sf.scenario
     epsilon = _resolve(args.epsilon, sf.defaults.epsilon)
     if epsilon is None:
@@ -222,20 +203,14 @@ def _cmd_certify(args, sf) -> int:
                 "ok": (group_delta <= target) if target is not None else None,
             }
         )
-    envelope = scenario_io.report_envelope(
-        "certify",
-        {"scenario": args.scenario, "epsilon": epsilon, "method": args.method,
-         "target_delta": target},
-        sf.digest,
-        {"certificate": cert.to_dict(), "groups": rows},
-    )
-    _emit(args, envelope, rows,
+    _emit(args, sf,
+          {"epsilon": epsilon, "method": args.method, "target_delta": target},
+          {"certificate": cert.to_dict(), "groups": rows}, rows,
           ["group", "mean", "method", "delta_exact", "delta_chernoff", "threshold", "ok"],
           f"certificate delta {cert.delta:.6g} at epsilon {epsilon} ({cert.method})")
-    return EXIT_OK
 
 
-def _cmd_pof(args, sf) -> int:
+def _cmd_pof(args, sf) -> None:
     scenario = sf.scenario
     alpha = _resolve(args.alpha, sf.defaults.alpha)
     if alpha is None:
@@ -253,21 +228,15 @@ def _cmd_pof(args, sf) -> int:
         "bound_1_over_1_minus_alpha": result.bound_1_over_1_minus_alpha,
         "bound_1_plus_2alpha": result.bound_1_plus_2alpha,
     }
-    envelope = scenario_io.report_envelope(
-        "pof",
-        {"scenario": args.scenario, "alpha": alpha, "epsilon": epsilon,
-         "method": args.method if epsilon is not None else None},
-        sf.digest,
-        result.to_dict(),
-    )
-    _emit(args, envelope, [row], list(row.keys()),
+    settings = {"alpha": alpha, "epsilon": epsilon,
+                "method": args.method if epsilon is not None else None}
+    _emit(args, sf, settings, result.to_dict(), [row], list(row.keys()),
           f"pof {result.pof:.9g} at alpha={alpha} "
           f"(unconstrained {result.unconstrained_utilization:.6g}, "
           f"constrained {result.constrained_utilization:.6g})")
-    return EXIT_OK
 
 
-def _cmd_curve(args, sf) -> int:
+def _cmd_curve(args, sf) -> None:
     scenario = sf.scenario
     v_max = args.v_max if args.v_max is not None else 2.0 * max(scenario.means)
     rows = []
@@ -279,24 +248,15 @@ def _cmd_curve(args, sf) -> int:
             {"group": group.name, "v": v, "availability": q, "expected_min": em}
             for v, q, em in table
         )
-    envelope = scenario_io.report_envelope(
-        "curve",
-        {"scenario": args.scenario, "v_max": v_max, "steps": args.steps},
-        sf.digest,
-        {"v_max": v_max, "steps": args.steps, "series": series},
-    )
-    _emit(args, envelope, rows, ["group", "v", "availability", "expected_min"],
+    _emit(args, sf, {"v_max": v_max, "steps": args.steps},
+          {"v_max": v_max, "steps": args.steps, "series": series},
+          rows, ["group", "v", "availability", "expected_min"],
           f"curves for {scenario.size} groups over [0, {v_max}] in {args.steps} steps")
-    return EXIT_OK
 
 
-def _cmd_mc_check(args, sf) -> int:
+def _cmd_mc_check(args, sf) -> None:
     scenario = sf.scenario
-    alloc = (
-        _parse_allocation(args.allocation, scenario)
-        if args.allocation
-        else allocation.mean_weighted(scenario)
-    )
+    alloc = _allocation(args, scenario)
     seed = _resolve(args.seed, sf.defaults.seed, DEFAULT_SEED)
     samples = _resolve(args.samples, sf.defaults.samples, DEFAULT_SAMPLES)
     mc = montecarlo.estimate_report(scenario, alloc, samples, seed)
@@ -326,27 +286,25 @@ def _cmd_mc_check(args, sf) -> int:
         )
     rows.append(comparison("utilization", metrics.utilization(scenario, alloc), mc.utilization))
     all_ok = all(row["ok"] for row in rows)
-    envelope = scenario_io.report_envelope(
-        "mc-check",
-        {"scenario": args.scenario, "seed": seed, "samples": samples,
-         "allocation": list(alloc.values)},
-        sf.digest,
-        {"rows": rows, "all_ok": all_ok, "mc_report": mc.to_dict()},
-    )
-    _emit(args, envelope, rows, ["quantity", "exact", "mc_value", "se", "z_score", "ok"],
+    _emit(args, sf, {"seed": seed, "samples": samples, "allocation": list(alloc.values)},
+          {"rows": rows, "all_ok": all_ok, "mc_report": mc.to_dict()},
+          rows, ["quantity", "exact", "mc_value", "se", "z_score", "ok"],
           f"{len(rows)} quantities compared at {samples} samples: "
           + ("all |z| <= 4" if all_ok else "SOME CHECKS EXCEED 4 SE"))
-    return EXIT_OK
 
 
-_HANDLERS = {
-    "allocate": _cmd_allocate,
-    "evaluate": _cmd_evaluate,
-    "optimize": _cmd_optimize,
-    "certify": _cmd_certify,
-    "pof": _cmd_pof,
-    "curve": _cmd_curve,
-    "mc-check": _cmd_mc_check,
+# command -> (handler, help text, flags it reads beyond --scenario, --output, --format)
+COMMANDS = {
+    "allocate": (_cmd_allocate, "mean-weighted allocation", ()),
+    "evaluate": (_cmd_evaluate, "availability/utilization/fairness of an allocation",
+                 ("alpha", "epsilon", "method", "allocation")),
+    "optimize": (_cmd_optimize, "max-utilization and alpha-fair allocations", ("alpha",)),
+    "certify": (_cmd_certify, "per-group lower-deviation certificate table",
+                ("epsilon", "method", "delta")),
+    "pof": (_cmd_pof, "price of fairness at a given alpha", ("alpha", "epsilon", "method")),
+    "curve": (_cmd_curve, "availability curve per group", ("v-max", "steps")),
+    "mc-check": (_cmd_mc_check, "Monte Carlo vs exact comparison table",
+                 ("seed", "samples", "allocation")),
 }
 
 
@@ -355,7 +313,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         sf = scenario_io.load_scenario_path(args.scenario)
-        return _HANDLERS[args.command](args, sf)
+        COMMANDS[args.command][0](args, sf)
+        return EXIT_OK
     except allocation.InfeasibleError as exc:
         # no allocation meets the constraints: a property of the input
         print(f"fairalloc: infeasible: {exc}", file=sys.stderr)

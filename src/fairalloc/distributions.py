@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -42,6 +42,8 @@ class DemandDistribution(ABC):
     """Base class for candidate-count distributions."""
 
     kind: ClassVar[str]
+    # JSON keys of the tagged spec, one per dataclass field, in field order
+    spec_keys: ClassVar[tuple]
 
     @abstractmethod
     def mean(self) -> float:
@@ -94,9 +96,13 @@ class DemandDistribution(ABC):
         """
         return None
 
-    @abstractmethod
     def to_spec(self) -> dict:
         """JSON-ready tagged description, inverse of scenario parsing."""
+        spec = {"kind": self.kind}
+        for key, field in zip(self.spec_keys, fields(self)):
+            value = getattr(self, field.name)
+            spec[key] = list(value) if isinstance(value, tuple) else value
+        return spec
 
 
 @dataclass(frozen=True)
@@ -105,6 +111,7 @@ class Constant(DemandDistribution):
 
     c: float
     kind: ClassVar[str] = "constant"
+    spec_keys: ClassVar[tuple] = ("c",)
 
     def __post_init__(self):
         object.__setattr__(self, "c", _require_positive(self.c, "constant c"))
@@ -142,9 +149,6 @@ class Constant(DemandDistribution):
             [0.0, top],
         )
 
-    def to_spec(self) -> dict:
-        return {"kind": self.kind, "c": self.c}
-
 
 @dataclass(frozen=True)
 class TwoPoint(DemandDistribution):
@@ -156,6 +160,7 @@ class TwoPoint(DemandDistribution):
 
     k: float
     kind: ClassVar[str] = "two_point"
+    spec_keys: ClassVar[tuple] = ("k",)
 
     def __post_init__(self):
         k = _require_positive(self.k, "two_point k")
@@ -209,9 +214,6 @@ class TwoPoint(DemandDistribution):
             [0.0, cap / self.k],
         )
 
-    def to_spec(self) -> dict:
-        return {"kind": self.kind, "k": self.k}
-
 
 def _smallest_point_with_cdf_at_least(p, guess, cdf_at, upper):
     """Adjust an approximate integer quantile to the smallest m with cdf(m) >= p."""
@@ -230,6 +232,7 @@ class Binomial(DemandDistribution):
     n: int
     p: float
     kind: ClassVar[str] = "binomial"
+    spec_keys: ClassVar[tuple] = ("n", "p")
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
@@ -297,9 +300,6 @@ class Binomial(DemandDistribution):
         ems = self.mean() * below + ks * sfs
         return (ks.tolist(), cdfs.tolist(), sfs.tolist(), ems.tolist())
 
-    def to_spec(self) -> dict:
-        return {"kind": self.kind, "n": self.n, "p": self.p}
-
 
 @dataclass(frozen=True)
 class Poisson(DemandDistribution):
@@ -307,6 +307,7 @@ class Poisson(DemandDistribution):
 
     lam: float
     kind: ClassVar[str] = "poisson"
+    spec_keys: ClassVar[tuple] = ("lambda",)
 
     def __post_init__(self):
         object.__setattr__(self, "lam", _require_positive(self.lam, "poisson lambda"))
@@ -362,9 +363,6 @@ class Poisson(DemandDistribution):
         ems = self.lam * below + ks * sfs
         return (ks.tolist(), cdfs.tolist(), sfs.tolist(), ems.tolist())
 
-    def to_spec(self) -> dict:
-        return {"kind": self.kind, "lambda": self.lam}
-
 
 @dataclass(frozen=True)
 class Normal(DemandDistribution):
@@ -378,6 +376,7 @@ class Normal(DemandDistribution):
     mu: float
     sigma: float
     kind: ClassVar[str] = "normal"
+    spec_keys: ClassVar[tuple] = ("mu", "sigma")
 
     def __post_init__(self):
         object.__setattr__(self, "mu", _require_positive(self.mu, "normal mu"))
@@ -411,9 +410,6 @@ class Normal(DemandDistribution):
     def mass_below_zero(self) -> float:
         return 0.5 * math.erfc(self.mu / (self.sigma * _SQRT2))
 
-    def to_spec(self) -> dict:
-        return {"kind": self.kind, "mu": self.mu, "sigma": self.sigma}
-
 
 @dataclass(frozen=True)
 class Exponential(DemandDistribution):
@@ -421,6 +417,7 @@ class Exponential(DemandDistribution):
 
     mean_value: float
     kind: ClassVar[str] = "exponential"
+    spec_keys: ClassVar[tuple] = ("mean",)
 
     def __post_init__(self):
         object.__setattr__(self, "mean_value", _require_positive(self.mean_value, "exponential mean"))
@@ -451,9 +448,6 @@ class Exponential(DemandDistribution):
     def support_max(self) -> float:
         return math.inf
 
-    def to_spec(self) -> dict:
-        return {"kind": self.kind, "mean": self.mean_value}
-
 
 @dataclass(frozen=True)
 class Empirical(DemandDistribution):
@@ -466,6 +460,7 @@ class Empirical(DemandDistribution):
     values: tuple
     probabilities: tuple
     kind: ClassVar[str] = "empirical"
+    spec_keys: ClassVar[tuple] = ("values", "probabilities")
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -539,9 +534,8 @@ class Empirical(DemandDistribution):
         ems = [self._expected_min(x) for x in xs]
         return (xs, cdfs, sfs, ems)
 
-    def to_spec(self) -> dict:
-        return {
-            "kind": self.kind,
-            "values": list(self.values),
-            "probabilities": list(self.probabilities),
-        }
+
+# kind tag -> family class, for parsing tagged specs
+FAMILIES = {
+    cls.kind: cls for cls in (Constant, TwoPoint, Binomial, Poisson, Normal, Exponential, Empirical)
+}

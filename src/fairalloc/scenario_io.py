@@ -16,17 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
-from .distributions import (
-    Binomial,
-    Constant,
-    DemandDistribution,
-    DistributionError,
-    Empirical,
-    Exponential,
-    Normal,
-    Poisson,
-    TwoPoint,
-)
+from .distributions import FAMILIES, DemandDistribution, DistributionError, Empirical
 from .metrics import Group, Scenario, availability
 
 TOOL_NAME = "fairalloc"
@@ -62,50 +52,26 @@ def _number(obj: dict, key: str, path: str):
     return value
 
 
-_DIST_KEYS = {
-    "constant": ("c",),
-    "two_point": ("k",),
-    "binomial": ("n", "p"),
-    "poisson": ("lambda",),
-    "normal": ("mu", "sigma"),
-    "exponential": ("mean",),
-    "empirical": ("values", "probabilities"),
-}
-
-
 def distribution_from_spec(obj, path: str = "distribution") -> DemandDistribution:
     """Build a distribution from its tagged JSON object."""
     _require_mapping(obj, path)
     kind = obj.get("kind")
-    if kind not in _DIST_KEYS:
+    cls = FAMILIES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ScenarioError(
             f"{path}.kind",
-            f"unknown distribution kind {kind!r}; expected one of {sorted(_DIST_KEYS)}",
+            f"unknown distribution kind {kind!r}; expected one of {sorted(FAMILIES)}",
         )
-    _reject_unknown(obj, ("kind",) + _DIST_KEYS[kind], path)
-    try:
-        if kind == "constant":
-            return Constant(_number(obj, "c", path))
-        if kind == "two_point":
-            return TwoPoint(_number(obj, "k", path))
-        if kind == "binomial":
-            n = _number(obj, "n", path)
-            if not isinstance(n, int):
-                raise ScenarioError(f"{path}.n", f"n must be an integer, got {n!r}")
-            if n < 1:
-                raise ScenarioError(f"{path}.n", f"n must be >= 1, got {n!r}")
-            return Binomial(n, _number(obj, "p", path))
-        if kind == "poisson":
-            return Poisson(_number(obj, "lambda", path))
-        if kind == "normal":
-            return Normal(_number(obj, "mu", path), _number(obj, "sigma", path))
-        if kind == "exponential":
-            return Exponential(_number(obj, "mean", path))
-        values = obj.get("values")
-        probs = obj.get("probabilities")
-        if not isinstance(values, list) or not isinstance(probs, list):
+    _reject_unknown(obj, ("kind",) + cls.spec_keys, path)
+    if cls is Empirical:
+        args = [obj.get(key) for key in cls.spec_keys]
+        if not all(isinstance(arg, list) for arg in args):
             raise ScenarioError(path, "empirical needs 'values' and 'probabilities' lists")
-        return Empirical(tuple(values), tuple(probs))
+        args = [tuple(arg) for arg in args]
+    else:
+        args = [_number(obj, key, path) for key in cls.spec_keys]
+    try:
+        return cls(*args)
     except DistributionError as exc:
         raise ScenarioError(path, str(exc)) from exc
 

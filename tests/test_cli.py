@@ -257,10 +257,27 @@ def test_invalid_scenario_is_validation_error(capsys, tmp_path):
     assert "resource" in err
 
 
-@pytest.mark.parametrize("flag", [["--bogus"], ["--ell-grid", "64"], ["--refine-iterations", "16"]])
-def test_unknown_flag_is_validation_error(capsys, poisson3, flag):
-    code, _, err = run(capsys, "pof", "--scenario", poisson3, "--alpha", "0.1", *flag)
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("pof", ["--bogus"]),
+        ("pof", ["--ell-grid", "64"]),
+        ("pof", ["--refine-iterations", "16"]),
+        # flags that exist on other commands but that this command does not read
+        ("allocate", ["--alpha", "0.1"]),
+        ("optimize", ["--epsilon", "0.1"]),
+        ("certify", ["--seed", "1"]),
+        ("pof", ["--samples", "100"]),
+        ("curve", ["--method", "exact_cdf"]),
+        ("mc-check", ["--alpha", "0.1"]),
+        ("evaluate", ["--steps", "5"]),
+    ],
+)
+def test_unknown_flag_is_validation_error(capsys, poisson3, command, flag):
+    extra = ["--alpha", "0.1"] if command == "pof" else ["--epsilon", "0.1"] if command == "certify" else []
+    code, _, err = run(capsys, command, "--scenario", poisson3, *extra, *flag)
     assert code == EXIT_VALIDATION
+    assert "unrecognized arguments" in err
 
 
 @pytest.mark.parametrize(

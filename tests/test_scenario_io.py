@@ -80,6 +80,7 @@ def test_binomial_n_zero_is_a_positioned_error():
         ('{"resource":-2,"groups":[{"name":"a","distribution":{"kind":"constant","c":1}}]}', "resource"),
         ('{"resource":1,"groups":[],"defaults":{}}', "nonempty"),
         ('{"resource":1,"groups":[{"name":"a","distribution":{"kind":"warp","x":1}}]}', "unknown distribution kind"),
+        ('{"resource":1,"groups":[{"name":"a","distribution":{"kind":["poisson"],"lambda":2}}]}', "unknown distribution kind"),
         ('{"resource":1,"groups":[{"name":"a","distribution":{"kind":"poisson","lambda":2,"x":1}}]}', "unknown key"),
         ('{"resource":1,"groups":[{"name":"a","distribution":{"kind":"poisson","lambda":0}}]}', "lambda"),
         ('{"resource":1,"groups":[{"name":"a","distribution":{"kind":"binomial","n":5,"p":1.5}}]}', "p must be in"),
@@ -126,24 +127,23 @@ def test_defaults_are_parsed_and_validated():
 
 
 def test_round_trip_preserves_scenario():
+    specs = [
+        {"kind": "constant", "c": 12.5},
+        {"kind": "two_point", "k": 7.0},
+        {"kind": "binomial", "n": 321, "p": 0.31},
+        {"kind": "poisson", "lambda": 42.5},
+        {"kind": "normal", "mu": 97.3, "sigma": 11.1},
+        {"kind": "exponential", "mean": 18.75},
+        {"kind": "empirical", "values": [0.5, 2.25, 9.0], "probabilities": [0.125, 0.5, 0.375]},
+    ]
     text = json.dumps(
         {
             "resource": 123.456,
-            "groups": [
-                {"name": "b", "distribution": {"kind": "binomial", "n": 321, "p": 0.31}},
-                {"name": "n", "distribution": {"kind": "normal", "mu": 97.3, "sigma": 11.1}},
-                {
-                    "name": "m",
-                    "distribution": {
-                        "kind": "empirical",
-                        "values": [0.5, 2.25, 9.0],
-                        "probabilities": [0.125, 0.5, 0.375],
-                    },
-                },
-            ],
+            "groups": [{"name": f"g{i}", "distribution": spec} for i, spec in enumerate(specs)],
         }
     )
     sf = load_scenario_file(text)
+    assert [g.dist.to_spec() for g in sf.scenario.groups] == specs
     serialized = serialize_scenario(sf.scenario, sf.defaults)
     again = load_scenario_file(serialized)
     assert again.scenario == sf.scenario
