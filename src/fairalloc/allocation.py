@@ -241,7 +241,7 @@ def _water_fill(curves, budget, lo, hi) -> list:
     residual = budget - sum(v)
     if residual > 0.0:
         for i in range(len(v)):
-            head = min(v_high[i], hi[i]) - v[i]
+            head = v_high[i] - v[i]
             if head <= 0.0:
                 continue
             add = min(residual, head)
@@ -329,7 +329,6 @@ def _alpha_fair(scenario: Scenario, alpha: float, v_max: Optional[Allocation]) -
     if shortcut is not None:
         return shortcut
     budget = scenario.resource
-    feas_tol = max(V_TOLERANCE, 1e-9 * max(budget, 1.0))
     # Seed floors implied by the mean-weighted and unconstrained optima so
     # the sweep never loses to a known-feasible allocation.
     probes = (mean_weighted(scenario), v_max)
@@ -340,9 +339,9 @@ def _alpha_fair(scenario: Scenario, alpha: float, v_max: Optional[Allocation]) -
     # widens each band by 1e-9 in availability, three orders inside the
     # Q <= alpha + 1e-6 contract, which restores feasibility there.
     try:
-        best_v = _floor_sweep(curves, budget, alpha, feas_tol, probes, 0.0)
+        best_v = _floor_sweep(curves, budget, alpha, probes, 0.0)
     except InfeasibleError:
-        best_v = _floor_sweep(curves, budget, alpha, feas_tol, probes, 1e-9)
+        best_v = _floor_sweep(curves, budget, alpha, probes, 1e-9)
 
     alloc = Allocation(tuple(best_v))
     gap = metrics.fairness(scenario, alloc)
@@ -353,7 +352,7 @@ def _alpha_fair(scenario: Scenario, alpha: float, v_max: Optional[Allocation]) -
     return alloc
 
 
-def _floor_sweep(curves, budget, alpha, feas_tol, probes, band_slop):
+def _floor_sweep(curves, budget, alpha, probes, band_slop):
     # Per-group box ends for floor ell: the least v reaching q = ell, and the
     # most v keeping q <= ell + alpha (no top once the band reaches 1). None
     # marks a group that cannot meet its end of the band.
@@ -380,11 +379,8 @@ def _floor_sweep(curves, budget, alpha, feas_tol, probes, band_slop):
         bx = boxes(ell)
         if bx is None:
             return None
-        lo, hi = bx
-        if sum(lo) > budget + feas_tol or sum(hi) < budget - feas_tol:
-            return None
         try:
-            v = _water_fill(curves, budget, lo, hi)
+            v = _water_fill(curves, budget, *bx)
         except InfeasibleError:
             return None
         value = sum(c.em(x) for c, x in zip(curves, v))
@@ -433,10 +429,18 @@ def _floor_sweep(curves, budget, alpha, feas_tol, probes, band_slop):
         candidates = sorted(set(candidates))
 
     best_value, best_v, best_ell = -math.inf, None, None
-    for ell in candidates:
+
+    def score(ell):
+        nonlocal best_value, best_v, best_ell
         result = solve(ell)
-        if result is not None and result[0] > best_value:
+        if result is None:
+            return -math.inf
+        if result[0] > best_value:
             best_value, best_v, best_ell = result[0], result[1], ell
+        return result[0]
+
+    for ell in candidates:
+        score(ell)
     if best_v is None:
         raise InfeasibleError(
             f"availability floor sweep found no feasible point in "
@@ -446,16 +450,6 @@ def _floor_sweep(curves, budget, alpha, feas_tol, probes, band_slop):
     if width > 1e-12:
         a = max(ell_min, best_ell - step)
         b = min(ell_max, best_ell + step)
-
-        def score(ell):
-            nonlocal best_value, best_v, best_ell
-            result = solve(ell)
-            if result is None:
-                return -math.inf
-            if result[0] > best_value:
-                best_value, best_v, best_ell = result[0], result[1], ell
-            return result[0]
-
         c = b - _GOLDEN * (b - a)
         d = a + _GOLDEN * (b - a)
         fc, fd = score(c), score(d)
