@@ -477,6 +477,10 @@ def pof(
     u_max = metrics.utilization(scenario, v_max)
     v_fair = _alpha_fair(scenario, alpha, v_max)
     u_fair = metrics.utilization(scenario, v_fair)
+    if u_fair > u_max:
+        # the water-fill stopped an ulp short of the optimum; the alpha-fair
+        # allocation is feasible without the constraint, so it is the better one
+        v_max, u_max = v_fair, u_fair
     if u_fair <= 0.0:
         ratio = 1.0 if u_max <= 0.0 else math.inf
     else:

@@ -332,7 +332,10 @@ def test_pof_at_least_one():
     ]
     for sc in cases:
         for alpha in (0.0, 0.1, 0.5):
-            assert pof(sc, alpha).pof >= 1.0 - 1e-9
+            assert pof(sc, alpha).pof >= 1.0
+    # the alpha-fair utilization beats the water-fill's by an ulp or two here
+    assert pof(scenario(45.0, Binomial(40, 0.5), Binomial(100, 0.3)), 0.05).pof >= 1.0
+    assert pof(scenario(45.0, Normal(10.0, 4.0), Normal(40.0, 10.0)), 0.1).pof >= 1.0
 
 
 def test_pof_alpha_validation():
@@ -345,7 +348,7 @@ def test_pof_alpha_validation():
 def test_constrained_never_beats_unconstrained():
     sc = scenario(420.0, Poisson(200.0), Poisson(400.0), Binomial(500, 0.4))
     result = pof(sc, 0.03)
-    assert result.constrained_utilization <= result.unconstrained_utilization + 1e-9
+    assert result.constrained_utilization <= result.unconstrained_utilization
 
 
 # ---------------------------------------------------------------- scale families
