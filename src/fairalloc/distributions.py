@@ -495,9 +495,10 @@ class Empirical(DemandDistribution):
         object.__setattr__(self, "_vals", vals)
         object.__setattr__(self, "_probs", probs)
         object.__setattr__(self, "_cum", np.cumsum(probs))
-        # suffix[i] = Pr[C > values[i-1]] keeps deep-tail survival exact at the ends
-        suffix = np.concatenate(([1.0], 1.0 - np.cumsum(probs)))
-        suffix[-1] = 0.0
+        # suffix[i] = Pr[C > values[i-1]], summed from the top so tail mass
+        # far below the 1e-16 spacing of 1 - cdf keeps its value
+        suffix = np.concatenate((np.cumsum(probs[::-1])[::-1], [0.0]))
+        suffix[0] = 1.0
         object.__setattr__(self, "_suffix", suffix)
         object.__setattr__(self, "_mean", mean)
 

@@ -75,6 +75,9 @@ def test_survival_examples():
         assert dist.survival(-1.0) == 1.0
     assert TwoPoint(10.0).survival(5.0) == pytest.approx(0.1, abs=1e-15)
     assert Normal(100.0, 10.0).survival(100.0) == pytest.approx(0.5, abs=1e-15)
+    # tail mass far below the 1e-16 spacing of 1 - cdf keeps its value
+    deep = Empirical((1.0, 2.0, 3.0), (1 - 1.2e-16, 1e-16, 2e-17))
+    assert deep.survival(2.0) == pytest.approx(2e-17, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("dist", ALL, ids=ids)
