@@ -39,10 +39,11 @@ def main():
     ratios = [float(x) for x in args.ratios.split(",")]
     alphas = [float(x) for x in args.alphas.split(",")]
 
+    # the per-group deltas do not depend on the budget
+    cert = scenario_certificate(base, args.epsilon)
     rows = []
     for ratio in ratios:
         sc = Scenario(resource=ratio * total, groups=base.groups)
-        cert = scenario_certificate(sc, args.epsilon)
         for alpha in alphas:
             result = pof(sc, alpha, certificate=cert)
             rows.append(
