@@ -83,13 +83,18 @@ def mean_weighted(scenario: Scenario) -> Allocation:
 
 
 def _bisect(pred, a, b):
-    """Halve [a, b] 60 times around the point where pred switches to true.
+    """Halve [a, b] around the point where pred switches to true.
 
-    pred must be false left of that point and true right of it. Returns the
-    final bracket (a, b).
+    pred must be false left of that point and true right of it, and callers
+    keep pred(a) false and pred(b) true. Stops after 60 halvings, or sooner
+    once no double lies strictly between a and b: the midpoint then rounds to
+    an end whose pred is already known, so further steps change nothing.
+    Returns the final bracket (a, b).
     """
     for _ in range(60):
         m = 0.5 * (a + b)
+        if m == a or m == b:
+            break
         if pred(m):
             b = m
         else:
@@ -144,21 +149,28 @@ class _Curve:
             return self.cap
         return self.xs[idx]
 
-    def fill(self, s: float, lo: float, hi: float) -> float:
-        """Water level at cdf-level s, clipped into [lo, hi].
+    def box_fill(self, lo: float, hi: float):
+        """The water level at cdf-level s, clipped into [lo, hi], as a function of s.
 
-        Bisecting the cdf level rather than the survival level keeps deep
-        lower-tail levels representable (1 - s underflows to 1 there).
+        The cdf levels of the two box ends are read once here, not on every
+        bisection step. Bisecting the cdf level rather than the survival level
+        keeps deep lower-tail levels representable (1 - s underflows to 1 there).
         """
-        if s <= 0.0:
-            return lo
-        if s >= 1.0:
-            return hi
-        if self.cdf(hi) < s:
-            return hi
-        if self.cdf(lo) >= s:
-            return lo
-        return min(hi, max(lo, self._quantile(s)))
+        cdf_lo, cdf_hi = self.cdf(lo), self.cdf(hi)
+        quantile = self._quantile
+
+        def fill(s: float) -> float:
+            if s <= 0.0:
+                return lo
+            if s >= 1.0:
+                return hi
+            if cdf_hi < s:
+                return hi
+            if cdf_lo >= s:
+                return lo
+            return min(hi, max(lo, quantile(s)))
+
+        return fill
 
     def lowest_v_with_q_at_least(self, target: float) -> Optional[float]:
         """Smallest v in [0, cap] with q(v) >= target, or None if unreachable."""
@@ -222,13 +234,21 @@ def _water_fill(curves, budget, lo, hi) -> list:
             f"box constraints cannot meet the budget: sum lo {sum_lo!r}, "
             f"sum hi {sum_hi!r}, budget {budget!r}"
         )
+    fills = [c.box_fill(a, b) for c, a, b in zip(curves, lo, hi)]
     s_lo, s_hi = 0.0, 1.0
     v_low, v_high = list(lo), list(hi)
-    for _ in range(MAX_BISECTION_STEPS):
+    steps = 0
+    while steps < MAX_BISECTION_STEPS:
         if s_hi - s_lo <= 1e-18:
             break
+        steps += 1
         s_mid = 0.5 * (s_lo + s_hi)
-        v_mid = [c.fill(s_mid, a, b) for c, a, b in zip(curves, lo, hi)]
+        # Once the midpoint rounds to an end, no double lies strictly between
+        # the ends: this step re-evaluates that end and every later step would
+        # repeat it. The step still runs because the s = 1.0 end (hi) has not
+        # been checked against the budget yet.
+        stuck = s_mid == s_lo or s_mid == s_hi
+        v_mid = [fill(s_mid) for fill in fills]
         total = sum(v_mid)
         if abs(total - budget) <= V_TOLERANCE:
             v_low = v_mid
@@ -237,6 +257,8 @@ def _water_fill(curves, budget, lo, hi) -> list:
             s_lo, v_low = s_mid, v_mid
         else:
             s_hi, v_high = s_mid, v_mid
+        if stuck:
+            break
     v = list(v_low)
     residual = budget - sum(v)
     if residual > 0.0:
@@ -262,7 +284,7 @@ def _water_fill(curves, budget, lo, hi) -> list:
     if abs(sum(v) - budget) > feas_tol:
         raise ConvergenceError(
             f"water-filling missed the budget by {sum(v) - budget!r} "
-            f"after {MAX_BISECTION_STEPS} bisection steps"
+            f"after {steps} bisection steps"
         )
     return v
 

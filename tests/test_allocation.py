@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
+from fairalloc import allocation as allocation_module
 from fairalloc.allocation import (
     InfeasibleError,
     alpha_fair_optimal,
@@ -272,6 +273,35 @@ def test_alpha_fair_below_the_least_reachable_gap_is_infeasible():
     sc = scenario(10.0, Normal(5.0, 20.0), Normal(50.0, 5.0))
     with pytest.raises(InfeasibleError, match="no availability floor admits"):
         alpha_fair_optimal(sc, 0.1)
+
+
+def test_clamped_water_fills_stop_before_the_step_cap(monkeypatch):
+    # regression: above a cdf level of about 0.005 the bracket runs out of
+    # doubles before its width reaches 1e-18, and 393 of this solve's 577
+    # water-fills used to run all MAX_BISECTION_STEPS steps
+    sc = scenario(900.0, Poisson(200.0), Poisson(400.0), Poisson(400.0))
+    evaluations = []  # box-fill evaluations per _water_fill call
+    box_fill, water_fill = allocation_module._Curve.box_fill, allocation_module._water_fill
+
+    def counting_box_fill(self, lo, hi):
+        fill = box_fill(self, lo, hi)
+
+        def counted(s):
+            evaluations[-1] += 1
+            return fill(s)
+
+        return counted
+
+    def counting_water_fill(*args):
+        evaluations.append(0)
+        return water_fill(*args)
+
+    monkeypatch.setattr(allocation_module._Curve, "box_fill", counting_box_fill)
+    monkeypatch.setattr(allocation_module, "_water_fill", counting_water_fill)
+    alpha_fair_optimal(sc, 0.05)
+    steps = [n // sc.size for n in evaluations]
+    assert len(steps) > 500
+    assert max(steps) < allocation_module.MAX_BISECTION_STEPS
 
 
 # ---------------------------------------------------------------- price of fairness
