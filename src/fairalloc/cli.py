@@ -159,7 +159,7 @@ def _cmd_optimize(args, sf) -> None:
     columns = ["group", "v_max_utilization", "max_utilization"]
     summary = f"max utilization {u_max:.6g}"
     if alpha is not None:
-        v_fair = allocation.alpha_fair_optimal(scenario, alpha)
+        v_fair = allocation._alpha_fair(scenario, alpha, v_max)
         u_fair = metrics.utilization(scenario, v_fair)
         result["alpha_fair"] = {
             "alpha": alpha,

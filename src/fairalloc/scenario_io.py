@@ -41,15 +41,36 @@ def _reject_unknown(obj: dict, allowed, path: str):
         raise ScenarioError(path, f"unknown key {sorted(unknown)[0]!r}")
 
 
+def _finite(value, path: str):
+    """value itself if it is a non-bool int or float that a double holds finitely."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(path, f"expected a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a double
+        finite = False
+    if not finite:
+        raise ScenarioError(path, f"expected a finite number, got {value!r}")
+    return value
+
+
+def _finite_list(values: list, path: str) -> tuple:
+    """values as a tuple if every entry passes _finite; else the first failure, indexed."""
+    # checking the whole list in one pass keeps large empirical laws cheap to load
+    try:
+        valid = {type(x) for x in values} <= {int, float} and all(map(math.isfinite, values))
+    except OverflowError:  # an int too large for a double
+        valid = False
+    if not valid:
+        for i, x in enumerate(values):
+            _finite(x, f"{path}[{i}]")
+    return tuple(values)
+
+
 def _number(obj: dict, key: str, path: str):
     if key not in obj:
         raise ScenarioError(path, f"missing required key {key!r}")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}.{key}", f"expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ScenarioError(f"{path}.{key}", f"expected a finite number, got {value!r}")
-    return value
+    return _finite(obj[key], f"{path}.{key}")
 
 
 def distribution_from_spec(obj, path: str = "distribution") -> DemandDistribution:
@@ -67,7 +88,7 @@ def distribution_from_spec(obj, path: str = "distribution") -> DemandDistributio
         args = [obj.get(key) for key in cls.spec_keys]
         if not all(isinstance(arg, list) for arg in args):
             raise ScenarioError(path, "empirical needs 'values' and 'probabilities' lists")
-        args = [tuple(arg) for arg in args]
+        args = [_finite_list(arg, f"{path}.{key}") for key, arg in zip(cls.spec_keys, args)]
     else:
         args = [_number(obj, key, path) for key in cls.spec_keys]
     try:

@@ -110,6 +110,20 @@ def test_optimize_reports_both_optima(capsys, poisson3):
     assert result["alpha_fair"]["fairness"] <= 0.1 + 1e-6
 
 
+def test_optimize_solves_max_utilization_once(capsys, poisson3, monkeypatch):
+    calls = []
+    max_utilization = allocation_module.max_utilization
+
+    def counting(scenario):
+        calls.append(scenario)
+        return max_utilization(scenario)
+
+    monkeypatch.setattr(allocation_module, "max_utilization", counting)
+    code, _, _ = run(capsys, "optimize", "--scenario", poisson3, "--alpha", "0.1")
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_optimize_without_alpha_skips_constrained_run(capsys, poisson3):
     code, out, _ = run(capsys, "optimize", "--scenario", poisson3)
     assert code == EXIT_OK
@@ -255,6 +269,17 @@ def test_invalid_scenario_is_validation_error(capsys, tmp_path):
     code, _, err = run(capsys, "allocate", "--scenario", str(path))
     assert code == EXIT_VALIDATION
     assert "resource" in err
+
+
+@pytest.mark.parametrize("entry", [{}, "3", True])
+def test_non_numeric_empirical_entry_is_validation_error(capsys, tmp_path, entry):
+    path = tmp_path / "bad.json"
+    dist = {"kind": "empirical", "values": [entry], "probabilities": [1]}
+    path.write_text(json.dumps({"resource": 5, "groups": [{"name": "a", "distribution": dist}]}))
+    code, out, err = run(capsys, "allocate", "--scenario", str(path))
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert ".groups[0].distribution.values[0]: expected a number" in err
 
 
 @pytest.mark.parametrize(

@@ -95,6 +95,41 @@ def test_parse_errors_carry_field_context(text, fragment):
         parse_scenario(text)
 
 
+@pytest.mark.parametrize(
+    "values,probabilities,field,message",
+    [
+        ([{}], [1], "values[0]", "expected a number"),
+        ([1, "3"], [0.5, 0.5], "values[1]", "expected a number"),
+        ([True], [1], "values[0]", "expected a number"),
+        ([1, 2], [0.5, "0.5"], "probabilities[1]", "expected a number"),
+        ([1, 2], [0.5, 10**400], "probabilities[1]", "expected a finite number"),
+    ],
+    ids=["object", "string", "bool", "string probability", "huge probability"],
+)
+def test_empirical_entries_must_be_finite_numbers(values, probabilities, field, message):
+    dist = {"kind": "empirical", "values": values, "probabilities": probabilities}
+    text = json.dumps({"resource": 1, "groups": [{"name": "a", "distribution": dist}]})
+    with pytest.raises(ScenarioError, match=message) as err:
+        parse_scenario(text)
+    assert err.value.path == f".groups[0].distribution.{field}"
+
+
+@pytest.mark.parametrize(
+    "resource,lam,path",
+    [
+        (10**400, 5, ".resource"),
+        (10, 10**400, ".groups[0].distribution.lambda"),
+    ],
+    ids=["resource", "lambda"],
+)
+def test_integer_too_large_for_a_double_is_a_positioned_error(resource, lam, path):
+    dist = {"kind": "poisson", "lambda": lam}
+    text = json.dumps({"resource": resource, "groups": [{"name": "a", "distribution": dist}]})
+    with pytest.raises(ScenarioError, match="expected a finite number") as err:
+        parse_scenario(text)
+    assert err.value.path == path
+
+
 def test_duplicate_group_names_rejected():
     text = (
         '{"resource":1,"groups":['
