@@ -223,9 +223,10 @@ class _Curve:
 def _water_fill(curves, budget, lo, hi) -> list:
     """Maximize sum of E[min(C_i, v_i)] s.t. sum v = budget, lo <= v <= hi.
 
-    Bisects a common cdf level; any residual sitting on a survival step is
-    assigned greedily by ascending group index (utilization-equivalent on
-    the flat segment).
+    Bisects a common cdf level until the levels sum to the budget within
+    V_TOLERANCE or the bracket cannot shrink; any residual sitting on a
+    survival step is assigned greedily by ascending group index
+    (utilization-equivalent on the flat segment).
     """
     feas_tol = max(V_TOLERANCE, 1e-9 * max(budget, 1.0))
     sum_lo, sum_hi = sum(lo), sum(hi)

@@ -55,7 +55,7 @@ def _finite(value, path: str):
 
 
 def _finite_list(values: list, path: str) -> tuple:
-    """values as a tuple if every entry passes _finite; else the first failure, indexed."""
+    """values as a tuple if every entry passes _finite; else _finite's error at path[i]."""
     # checking the whole list in one pass keeps large empirical laws cheap to load
     try:
         valid = {type(x) for x in values} <= {int, float} and all(map(math.isfinite, values))
