@@ -3,13 +3,14 @@
 ``mean_weighted`` splits the resource proportionally to expected demand.
 ``max_utilization`` solves the unconstrained concave maximum of total
 expected consumption by water-filling: it equalizes the marginal value
-Pr[C_i > v_i] across groups. ``alpha_fair_optimal`` sweeps an availability
-floor, converts the fairness band into per-group box constraints, and
-water-fills inside the boxes. ``pof`` is the ratio of the two optima.
+Pr[C_i > v_i] across groups. ``alpha_fair_optimal`` searches an
+availability floor, converts the fairness band into per-group box
+constraints, and water-fills inside the boxes. ``pof`` is the ratio of the
+two optima.
 
 All optimizers are deterministic: step-discontinuity residuals are assigned
-greedily by ascending group index, and grid ties resolve to the smaller
-floor value.
+greedily by ascending group index, and golden-section ties narrow the floor
+bracket towards its lower end.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ from .metrics import Allocation, Scenario
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 V_TOLERANCE = 1e-9  # water-fill stops once the filled levels sum this close to the budget
-ELL_GRID = 512  # floors on the sweep grid before the golden-section refine
-REFINE_ITERATIONS = 60  # golden-section steps around the best grid floor
-MAX_BISECTION_STEPS = 200  # cap on the water-fill's bisection of the cdf level
+BISECTION_STEPS = 60  # halvings per bisection: the bracket shrinks to 2**-60 of its start
 
 
 class OptimizerError(RuntimeError):
@@ -86,12 +85,13 @@ def _bisect(pred, a, b):
     """Halve [a, b] around the point where pred switches to true.
 
     pred must be false left of that point and true right of it, and callers
-    keep pred(a) false and pred(b) true. Stops after 60 halvings, or sooner
-    once no double lies strictly between a and b: the midpoint then rounds to
-    an end whose pred is already known, so further steps change nothing.
+    keep pred(a) false and pred(b) true. Stops after BISECTION_STEPS
+    halvings, or sooner once no double lies strictly between a and b: the
+    midpoint then rounds to an end whose pred is already known, so further
+    steps change nothing.
     Returns the final bracket (a, b).
     """
-    for _ in range(60):
+    for _ in range(BISECTION_STEPS):
         m = 0.5 * (a + b)
         if m == a or m == b:
             break
@@ -223,10 +223,10 @@ class _Curve:
 def _water_fill(curves, budget, lo, hi) -> list:
     """Maximize sum of E[min(C_i, v_i)] s.t. sum v = budget, lo <= v <= hi.
 
-    Bisects a common cdf level until the levels sum to the budget within
-    V_TOLERANCE or the bracket cannot shrink; any residual sitting on a
-    survival step is assigned greedily by ascending group index
-    (utilization-equivalent on the flat segment).
+    Bisects a common cdf level in [0, 1] until the levels sum to the budget
+    within V_TOLERANCE, the bracket cannot shrink or BISECTION_STEPS halvings
+    have run; any residual sitting on a survival step is assigned greedily by
+    ascending group index (utilization-equivalent on the flat segment).
     """
     feas_tol = max(V_TOLERANCE, 1e-9 * max(budget, 1.0))
     sum_lo, sum_hi = sum(lo), sum(hi)
@@ -238,11 +238,7 @@ def _water_fill(curves, budget, lo, hi) -> list:
     fills = [c.box_fill(a, b) for c, a, b in zip(curves, lo, hi)]
     s_lo, s_hi = 0.0, 1.0
     v_low, v_high = list(lo), list(hi)
-    steps = 0
-    while steps < MAX_BISECTION_STEPS:
-        if s_hi - s_lo <= 1e-18:
-            break
-        steps += 1
+    for steps in range(1, BISECTION_STEPS + 1):
         s_mid = 0.5 * (s_lo + s_hi)
         # Once the midpoint rounds to an end, no double lies strictly between
         # the ends: this step re-evaluates that end and every later step would
@@ -328,10 +324,11 @@ def max_utilization(scenario: Scenario) -> Allocation:
 def alpha_fair_optimal(scenario: Scenario, alpha: float) -> Allocation:
     """Approximately maximize utilization subject to fairness Q <= alpha.
 
-    Sweeps an availability floor ell over its feasible interval; each floor
+    Searches an availability floor ell over its feasible interval; each floor
     turns the band ell <= q_i <= min(ell + alpha, 1) into box constraints
     (q_i is continuous and nondecreasing in v_i), solved by clamped
-    water-filling; a golden-section pass refines around the best grid point.
+    water-filling. The best utilization is concave in ell, so one
+    golden-section search over the whole interval finds the best floor.
     The result satisfies Q <= alpha + 1e-6 and sums to R within 1e-9 R.
     """
     return _alpha_fair(scenario, alpha, None)
@@ -339,22 +336,15 @@ def alpha_fair_optimal(scenario: Scenario, alpha: float) -> Allocation:
 
 def _alpha_fair(scenario: Scenario, alpha: float, v_max: Optional[Allocation]) -> Allocation:
     # v_max is the max-utilization allocation when the caller already has it;
-    # it seeds the sweep and is the answer when the constraint is vacuous.
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha!r}")
-    if v_max is None:
-        v_max = max_utilization(scenario)
+    # it is the answer when the constraint is vacuous.
+    alpha = metrics.check_alpha(alpha)
     if alpha >= 1.0:
         # Q <= 1 identically, so the constraint is vacuous.
-        return v_max
+        return v_max if v_max is not None else max_utilization(scenario)
     shortcut, curves = _prologue(scenario)
     if shortcut is not None:
         return shortcut
     budget = scenario.resource
-    # Seed floors implied by the mean-weighted and unconstrained optima so
-    # the sweep never loses to a known-feasible allocation.
-    probes = (mean_weighted(scenario), v_max)
 
     # First pass inverts the fairness band exactly. Near availability 1 the
     # inverse dv/dq blows up (survival underflows), so adjacent representable
@@ -362,9 +352,9 @@ def _alpha_fair(scenario: Scenario, alpha: float, v_max: Optional[Allocation]) -
     # widens each band by 1e-9 in availability, three orders inside the
     # Q <= alpha + 1e-6 contract, which restores feasibility there.
     try:
-        best_v = _floor_sweep(curves, budget, alpha, probes, 0.0)
+        best_v = _floor_sweep(curves, budget, alpha, 0.0)
     except InfeasibleError:
-        best_v = _floor_sweep(curves, budget, alpha, probes, 1e-9)
+        best_v = _floor_sweep(curves, budget, alpha, 1e-9)
 
     alloc = Allocation(tuple(best_v))
     gap = metrics.fairness(scenario, alloc)
@@ -375,7 +365,7 @@ def _alpha_fair(scenario: Scenario, alpha: float, v_max: Optional[Allocation]) -
     return alloc
 
 
-def _floor_sweep(curves, budget, alpha, probes, band_slop):
+def _floor_sweep(curves, budget, alpha, band_slop):
     # Per-group box ends for floor ell: the least v reaching q = ell, and the
     # most v keeping q <= ell + alpha (no top once the band reaches 1). None
     # marks a group that cannot meet its end of the band.
@@ -409,8 +399,8 @@ def _floor_sweep(curves, budget, alpha, probes, band_slop):
         value = sum(c.em(x) for c, x in zip(curves, v))
         return value, v
 
-    # Strict predicates: the swept interval must contain only floors whose
-    # boxes genuinely bracket the budget, else grid points sit a tolerance
+    # Strict predicates: the searched interval must contain only floors whose
+    # boxes genuinely bracket the budget, else searched floors sit a tolerance
     # outside feasibility and the clamped fill cannot meet the budget.
     def lo_fits(ell):
         lo = lows(ell)
@@ -438,54 +428,46 @@ def _floor_sweep(curves, budget, alpha, probes, band_slop):
         )
     ell_min = min(ell_min, ell_max)
 
-    width = ell_max - ell_min
-    if width <= 1e-12:
-        # a float-degenerate interval can still differ in feasibility at its
-        # two representable ends (e.g. the band top crossing 1.0 exactly)
-        candidates = sorted({ell_min, ell_max})
-    else:
-        step = width / (ELL_GRID - 1)
-        candidates = [ell_min + i * step for i in range(ELL_GRID)]
-        for probe in probes:
-            qs = [c.q(v) for c, v in zip(curves, probe.values)]
-            candidates.append(min(max(min(qs), ell_min), ell_max))
-        candidates = sorted(set(candidates))
-
-    best_value, best_v, best_ell = -math.inf, None, None
+    best_value, best_v = -math.inf, None
 
     def score(ell):
-        nonlocal best_value, best_v, best_ell
+        nonlocal best_value, best_v
         result = solve(ell)
         if result is None:
             return -math.inf
         if result[0] > best_value:
-            best_value, best_v, best_ell = result[0], result[1], ell
+            best_value, best_v = result
         return result[0]
 
-    for ell in candidates:
-        score(ell)
+    # Golden-section search over the whole interval: U*(ell), the utilization
+    # solve(ell) reaches, is concave there. With g_i the inverse of q_i, convex
+    # since q_i is concave and nondecreasing, solve(ell) equals max sum mu_i q_i
+    # s.t. sum g_i(q_i) <= R, ell <= q_i <= ell + alpha (U is nondecreasing in
+    # v, and hi_reaches lets leftover budget be spent inside the boxes). That
+    # set is jointly convex in (q, ell) and the objective is linear, so U* is
+    # concave. Both ends are scored first: a float-degenerate interval can
+    # differ in feasibility at its two ends. The stop is an absolute width, as
+    # where U* is flat the ties move the bracket towards the dense doubles at 0.
+    a, b = ell_min, ell_max
+    score(a)
+    score(b)
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = score(c), score(d)
+    while b - a > 1e-15:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = score(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = score(d)
     if best_v is None:
         raise InfeasibleError(
             f"availability floor sweep found no feasible point in "
             f"[{ell_min!r}, {ell_max!r}] for alpha={alpha!r}"
         )
-
-    if width > 1e-12:
-        a = max(ell_min, best_ell - step)
-        b = min(ell_max, best_ell + step)
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        fc, fd = score(c), score(d)
-        for _ in range(REFINE_ITERATIONS):
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - _GOLDEN * (b - a)
-                fc = score(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _GOLDEN * (b - a)
-                fd = score(d)
-
     return best_v
 
 

@@ -51,7 +51,7 @@ def _check_epsilon(epsilon: float) -> float:
     return epsilon
 
 
-def _check_delta(delta: float) -> float:
+def check_delta(delta: float) -> float:
     delta = float(delta)
     if not 0.0 < delta < 1.0:
         raise CertificateError(f"delta must be in (0, 1), got {delta!r}")
@@ -108,7 +108,7 @@ def min_parameter_threshold(
     poisson  -> minimum lambda.
     """
     epsilon = _check_epsilon(epsilon)
-    delta = _check_delta(delta)
+    delta = check_delta(delta)
     log_inv = math.log(1.0 / delta)
     if family == "binomial":
         if p is None or not 0.0 < p < 1.0:

@@ -181,7 +181,8 @@ def _cmd_certify(args, sf) -> None:
     if epsilon is None:
         raise CliError("certify requires --epsilon (or a defaults.epsilon in the scenario)")
     cert = certificates.scenario_certificate(scenario, epsilon, args.method)
-    target = args.delta
+    # checked here, not only inside the Chernoff thresholds, which some families lack
+    target = args.delta if args.delta is None else certificates.check_delta(args.delta)
     rows = []
     for group, group_delta in zip(scenario.groups, cert.per_group_deltas):
         exact = certificates.exact_lower_deviation(group.dist, epsilon)

@@ -128,9 +128,16 @@ def fairness(scenario: Scenario, alloc: Allocation) -> float:
     return 0.0 if gap < _Q_EQUAL_TOL else gap
 
 
-def is_alpha_fair(scenario: Scenario, alloc: Allocation, alpha: float) -> bool:
-    if alpha < 0.0:
+def check_alpha(alpha) -> float:
+    """alpha as a float; ValueError unless it is finite and >= 0."""
+    alpha = float(alpha)
+    if not math.isfinite(alpha) or alpha < 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha!r}")
+    return alpha
+
+
+def is_alpha_fair(scenario: Scenario, alloc: Allocation, alpha: float) -> bool:
+    alpha = check_alpha(alpha)
     return fairness(scenario, alloc) <= alpha + 1e-12
 
 
@@ -231,6 +238,8 @@ def evaluate(
     alpha: Optional[float] = None,
 ) -> EvaluationReport:
     """Score an allocation; with an epsilon, compare against certificate bounds."""
+    if alpha is not None:
+        alpha = check_alpha(alpha)
     qs = group_availabilities(scenario, alloc)
     total = utilization(scenario, alloc)
     gap = fairness(scenario, alloc)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -23,7 +23,7 @@ from fairalloc.distributions import (
     Poisson,
     TwoPoint,
 )
-from fairalloc.metrics import Group, Scenario, fairness, utilization
+from fairalloc.metrics import Allocation, Group, Scenario, fairness, utilization
 
 
 def scenario(resource, *dists):
@@ -275,33 +275,53 @@ def test_alpha_fair_below_the_least_reachable_gap_is_infeasible():
         alpha_fair_optimal(sc, 0.1)
 
 
-def test_clamped_water_fills_stop_before_the_step_cap(monkeypatch):
-    # regression: above a cdf level of about 0.005 the bracket runs out of
-    # doubles before its width reaches 1e-18, and 393 of this solve's 577
-    # water-fills used to run all MAX_BISECTION_STEPS steps
+def test_alpha_fair_solve_takes_few_water_fills(monkeypatch):
+    # regression: a 512-floor grid, two probe floors and a golden-section
+    # refine around the best grid floor used to cost 577 water-fills here
     sc = scenario(900.0, Poisson(200.0), Poisson(400.0), Poisson(400.0))
-    evaluations = []  # box-fill evaluations per _water_fill call
-    box_fill, water_fill = allocation_module._Curve.box_fill, allocation_module._water_fill
-
-    def counting_box_fill(self, lo, hi):
-        fill = box_fill(self, lo, hi)
-
-        def counted(s):
-            evaluations[-1] += 1
-            return fill(s)
-
-        return counted
+    calls = []
+    water_fill = allocation_module._water_fill
 
     def counting_water_fill(*args):
-        evaluations.append(0)
+        calls.append(args)
         return water_fill(*args)
 
-    monkeypatch.setattr(allocation_module._Curve, "box_fill", counting_box_fill)
     monkeypatch.setattr(allocation_module, "_water_fill", counting_water_fill)
     alpha_fair_optimal(sc, 0.05)
-    steps = [n // sc.size for n in evaluations]
-    assert len(steps) > 500
-    assert max(steps) < allocation_module.MAX_BISECTION_STEPS
+    assert len(calls) < 100
+
+
+def test_alpha_fair_below_one_skips_max_utilization(monkeypatch):
+    sc = scenario(900.0, Poisson(200.0), Poisson(400.0), Poisson(400.0))
+    calls = []
+    max_utilization_solve = allocation_module.max_utilization
+
+    def counting(scenario):
+        calls.append(scenario)
+        return max_utilization_solve(scenario)
+
+    monkeypatch.setattr(allocation_module, "max_utilization", counting)
+    alpha_fair_optimal(sc, 0.05)
+    assert calls == []
+    pof(sc, 0.05)
+    assert len(calls) == 1
+
+
+@given(dists=st.lists(strategies.demand_distributions, min_size=2, max_size=4),
+       ratio=st.floats(0.2, 1.5),
+       weights=st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4))
+@settings(max_examples=40)
+def test_alpha_fair_beats_every_allocation_it_admits(dists, ratio, weights):
+    # the floor search is exact only if the best utilization is concave in the
+    # floor: any allocation with fairness Q(v) must do no better at alpha = Q(v)
+    sc = scenario(ratio * sum(d.mean() for d in dists), *dists)
+    weights = weights[: sc.size]
+    v = Allocation(tuple(sc.resource * w / sum(weights) for w in weights))
+    gap = fairness(sc, v)
+    assume(gap < 1.0)
+    u_v = utilization(sc, v)
+    alloc = alpha_fair_optimal(sc, gap)
+    assert utilization(sc, alloc) >= u_v - 1e-9 * max(1.0, u_v)
 
 
 # ---------------------------------------------------------------- price of fairness

@@ -102,6 +102,15 @@ def test_evaluate_rejects_mismatched_allocation(capsys, poisson3):
     assert "entries" in err
 
 
+@pytest.mark.parametrize("epsilon", [[], ["--epsilon", "0.1"]])
+@pytest.mark.parametrize("alpha", ["nan", "-1", "inf"])
+def test_evaluate_rejects_invalid_alpha(capsys, poisson3, epsilon, alpha):
+    code, out, err = run(capsys, "evaluate", "--scenario", poisson3, *epsilon, "--alpha", alpha)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "alpha must be >= 0" in err
+
+
 def test_optimize_reports_both_optima(capsys, poisson3):
     code, out, _ = run(capsys, "optimize", "--scenario", poisson3, "--alpha", "0.1")
     assert code == EXIT_OK
@@ -146,6 +155,21 @@ def test_certify_table(capsys, poisson3):
     assert 0.08 < float(first[3]) < 0.085  # exact delta for the smallest mean
     assert float(first[4]) > float(first[3])  # Chernoff is looser
     assert first[6] == "true"
+
+
+@pytest.mark.parametrize("delta", ["nan", "5", "-1", "0"])
+def test_certify_rejects_delta_outside_unit_interval(capsys, tmp_path, delta):
+    # exponential groups have no Chernoff threshold, the only place that
+    # used to check --delta
+    path = tmp_path / "exponential.json"
+    groups = [{"name": n, "distribution": {"kind": "exponential", "mean": m}}
+              for n, m in (("a", 10), ("b", 25))]
+    path.write_text(json.dumps({"resource": 30, "groups": groups}))
+    code, out, err = run(capsys, "certify", "--scenario", str(path), "--epsilon", "0.1",
+                         "--delta", delta)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "delta must be in (0, 1)" in err
 
 
 def test_certify_requires_epsilon(capsys, poisson3):

@@ -131,8 +131,9 @@ def test_is_alpha_fair():
     )
     assert not is_alpha_fair(mixed, Allocation((0.5, 0.5)), 0.4)
     assert is_alpha_fair(mixed, Allocation((0.5, 0.5)), 1.0)
-    with pytest.raises(ValueError):
-        is_alpha_fair(sc, Allocation((5.0, 15.0)), -0.1)
+    for alpha in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            is_alpha_fair(sc, Allocation((5.0, 15.0)), alpha)
 
 
 # ---------------------------------------------------------------- certified availability bounds
