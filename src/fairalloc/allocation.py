@@ -105,9 +105,10 @@ def _bisect(pred, a, b):
 class _Curve:
     """Fast exact evaluator of one group's E[min(C, v)] on [0, cap].
 
-    Atom-supported variants provide piecewise-linear knots; lookups then
-    reduce to bisect + one linear step. Smooth variants fall back to their
-    closed forms with numeric inversion where needed.
+    Atom-supported variants provide piecewise-linear knots; lookups and box
+    inverses then reduce to bisect + one linear step. Smooth variants use
+    their closed forms, and their box inverses take safeguarded Newton steps
+    on E[min(C, v)], whose slope survival(v) is exact (see _newton).
     """
 
     def __init__(self, dist: DemandDistribution, cap: float):
@@ -172,6 +173,41 @@ class _Curve:
 
         return fill
 
+    def _newton(self, t: float, strict: bool):
+        """Bracket (a, b) in [0, cap] of the crossing of em(v) = t on a smooth law.
+
+        At a, em(a) < t (em(a) <= t if strict); at b, em(b) >= t (em(b) > t
+        if strict); callers have checked both at v = 0 and v = cap. Each
+        Newton step starts from the end evaluated last and uses the exact
+        slope survival(v). E[min(C, v)] is concave, so its tangent lies above
+        it and a step from either end lands at or left of the crossing, up to
+        rounding: from 0 the steps climb towards it, and an end that rounding
+        put past it steps back to its left. A step below one ulp probes the
+        adjacent double towards the other end instead. Whatever bracket is
+        left when a step would leave it, the slope vanishes or the steps run
+        out goes to _bisect, as in rtsafe (Numerical Recipes, section 9.4).
+        """
+        def reached(e):
+            return e > t if strict else e >= t
+
+        a, b = 0.0, self.cap
+        x, e = a, self.em0
+        for _ in range(BISECTION_STEPS):
+            s = self.dist.survival(x)
+            if not s > 0.0:
+                break
+            y = x + (t - e) / s
+            if y == x:
+                y = math.nextafter(x, b if x == a else a)
+            if not a < y < b:
+                break
+            x, e = y, self.em(y)
+            if reached(e):
+                b = x
+            else:
+                a = x
+        return _bisect(lambda v: reached(self.em(v)), a, b)
+
     def lowest_v_with_q_at_least(self, target: float) -> Optional[float]:
         """Smallest v in [0, cap] with q(v) >= target, or None if unreachable."""
         t = target * self.mu
@@ -180,7 +216,7 @@ class _Curve:
         if self.xs is None:
             if self.em(self.cap) < t:
                 return None
-            return _bisect(lambda v: self.em(v) >= t, 0.0, self.cap)[1]
+            return self._newton(t, False)[1]
         ems = self.ems
         idx = bisect.bisect_left(ems, t)  # >= 1, since ems[0] = em0 < t
         if idx >= len(ems):
@@ -209,7 +245,7 @@ class _Curve:
         if self.em(self.cap) <= t:
             return self.cap
         if self.xs is None:
-            return _bisect(lambda v: self.em(v) > t, 0.0, self.cap)[0]
+            return self._newton(t, True)[0]
         idx = bisect.bisect_right(self.ems, t) - 1  # >= 0, since ems[0] = em0 <= t
         sf = self.sfs[idx]
         if sf <= 0.0:
@@ -220,13 +256,33 @@ class _Curve:
         return min(self.cap, v)
 
 
+def _one_level_at_most(levels, a, b):
+    """Whether the sorted lists hold at most one distinct value in [a, b)."""
+    seen = None
+    for cdfs in levels:
+        i = bisect.bisect_left(cdfs, a)
+        j = bisect.bisect_left(cdfs, b, i)
+        if i == j:
+            continue
+        if cdfs[i] != cdfs[j - 1] or seen not in (None, cdfs[i]):
+            return False
+        seen = cdfs[i]
+    return True
+
+
 def _water_fill(curves, budget, lo, hi) -> list:
     """Maximize sum of E[min(C_i, v_i)] s.t. sum v = budget, lo <= v <= hi.
 
     Bisects a common cdf level in [0, 1] until the levels sum to the budget
     within V_TOLERANCE, the bracket cannot shrink or BISECTION_STEPS halvings
-    have run; any residual sitting on a survival step is assigned greedily by
-    ascending group index (utilization-equivalent on the flat segment).
+    have run. When every curve has knots, each fill is constant between
+    adjacent knot cdf levels, so the loop also stops once both bracket ends
+    have been evaluated (the s = 0 and s = 1 ends are lo and hi, not fills)
+    and [s_lo, s_hi) holds at most one distinct level: every later midpoint
+    would repeat the allocation at one end, so the result is bit-identical
+    to running on. Any residual sitting on a survival step is assigned
+    greedily by ascending group index (utilization-equivalent on the flat
+    segment).
     """
     feas_tol = max(V_TOLERANCE, 1e-9 * max(budget, 1.0))
     sum_lo, sum_hi = sum(lo), sum(hi)
@@ -236,6 +292,7 @@ def _water_fill(curves, budget, lo, hi) -> list:
             f"sum hi {sum_hi!r}, budget {budget!r}"
         )
     fills = [c.box_fill(a, b) for c, a, b in zip(curves, lo, hi)]
+    levels = [c.cdfs for c in curves] if all(c.xs is not None for c in curves) else None
     s_lo, s_hi = 0.0, 1.0
     v_low, v_high = list(lo), list(hi)
     for steps in range(1, BISECTION_STEPS + 1):
@@ -255,6 +312,9 @@ def _water_fill(curves, budget, lo, hi) -> list:
         else:
             s_hi, v_high = s_mid, v_mid
         if stuck:
+            break
+        if (levels is not None and 0.0 < s_lo and s_hi < 1.0
+                and _one_level_at_most(levels, s_lo, s_hi)):
             break
     v = list(v_low)
     residual = budget - sum(v)
@@ -471,6 +531,22 @@ def _floor_sweep(curves, budget, alpha, band_slop):
     return best_v
 
 
+def _optima(scenario: Scenario, alpha: float):
+    """(v_max, u_max, v_fair, u_fair): both optima with their utilizations.
+
+    The max-utilization U is never below the alpha-fair one: when the
+    water-fill stops an ulp short of the optimum, the alpha-fair allocation,
+    feasible without the constraint, is the better one and replaces it.
+    """
+    v_max = max_utilization(scenario)
+    u_max = metrics.utilization(scenario, v_max)
+    v_fair = _alpha_fair(scenario, alpha, v_max)
+    u_fair = metrics.utilization(scenario, v_fair)
+    if u_fair > u_max:
+        v_max, u_max = v_fair, u_fair
+    return v_max, u_max, v_fair, u_fair
+
+
 def pof(
     scenario: Scenario, alpha: float, certificate: Optional[certificates.TailCertificate] = None
 ) -> PofResult:
@@ -478,14 +554,7 @@ def pof(
     alpha = float(alpha)
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"pof requires 0 <= alpha < 1, got {alpha!r}")
-    v_max = max_utilization(scenario)
-    u_max = metrics.utilization(scenario, v_max)
-    v_fair = _alpha_fair(scenario, alpha, v_max)
-    u_fair = metrics.utilization(scenario, v_fair)
-    if u_fair > u_max:
-        # the water-fill stopped an ulp short of the optimum; the alpha-fair
-        # allocation is feasible without the constraint, so it is the better one
-        v_max, u_max = v_fair, u_fair
+    v_max, u_max, v_fair, u_fair = _optima(scenario, alpha)
     if u_fair <= 0.0:
         ratio = 1.0 if u_max <= 0.0 else math.inf
     else:

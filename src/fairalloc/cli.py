@@ -142,8 +142,11 @@ def _cmd_evaluate(args, sf) -> None:
 def _cmd_optimize(args, sf) -> None:
     scenario = sf.scenario
     alpha = _resolve(args.alpha, sf.defaults.alpha)
-    v_max = allocation.max_utilization(scenario)
-    u_max = metrics.utilization(scenario, v_max)
+    if alpha is None:
+        v_max = allocation.max_utilization(scenario)
+        u_max = metrics.utilization(scenario, v_max)
+    else:
+        v_max, u_max, v_fair, u_fair = allocation._optima(scenario, alpha)
     result = {
         "max_utilization": {
             "allocation": list(v_max.values),
@@ -159,8 +162,6 @@ def _cmd_optimize(args, sf) -> None:
     columns = ["group", "v_max_utilization", "max_utilization"]
     summary = f"max utilization {u_max:.6g}"
     if alpha is not None:
-        v_fair = allocation._alpha_fair(scenario, alpha, v_max)
-        u_fair = metrics.utilization(scenario, v_fair)
         result["alpha_fair"] = {
             "alpha": alpha,
             "allocation": list(v_fair.values),

@@ -99,3 +99,68 @@ def mp_poisson_cdf(lam, k):
 
 def cdf_brute(values, probs, x):
     return float(probs[values <= x].sum())
+
+
+def bisect_bracket(pred, cap, steps):
+    """Final bracket (a, b) of halving [0, cap] around the point where pred turns true.
+
+    pred(0) must be false and pred(cap) true. This is the loop the smooth-law
+    box inverses ran before they took Newton steps: ``steps`` halvings, or
+    fewer once no double lies strictly between the ends.
+    """
+    a, b = 0.0, cap
+    for _ in range(steps):
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            break
+        if pred(m):
+            b = m
+        else:
+            a = m
+    return a, b
+
+
+def water_fill_full_loop(curves, budget, lo, hi, steps, tol):
+    """The clamped water-fill with no early stop: every cdf-level halving runs.
+
+    Uses each curve's ``box_fill`` and assigns the residual exactly as the
+    library does, so only the stopping rule differs from ``_water_fill``.
+    """
+    fills = [c.box_fill(a, b) for c, a, b in zip(curves, lo, hi)]
+    s_lo, s_hi = 0.0, 1.0
+    v_low, v_high = list(lo), list(hi)
+    for _ in range(steps):
+        s_mid = 0.5 * (s_lo + s_hi)
+        stuck = s_mid == s_lo or s_mid == s_hi
+        v_mid = [fill(s_mid) for fill in fills]
+        total = sum(v_mid)
+        if abs(total - budget) <= tol:
+            v_low = v_mid
+            break
+        if total < budget:
+            s_lo, v_low = s_mid, v_mid
+        else:
+            s_hi, v_high = s_mid, v_mid
+        if stuck:
+            break
+    v = list(v_low)
+    residual = budget - sum(v)
+    if residual > 0.0:
+        for i in range(len(v)):
+            head = v_high[i] - v[i]
+            if head <= 0.0:
+                continue
+            add = min(residual, head)
+            v[i] += add
+            residual -= add
+            if residual <= 0.0:
+                break
+    remaining = budget - sum(v)
+    if remaining != 0.0:
+        for i in range(len(v)):
+            if remaining == 0.0:
+                break
+            moved = min(max(v[i] + remaining, max(lo[i] - 1e-9, 0.0)), hi[i] + 1e-9)
+            remaining -= moved - v[i]
+            v[i] = moved
+    return v

@@ -39,6 +39,14 @@ def normals(draw):
     return Normal(mu, sigma)
 
 
+@st.composite
+def heavy_normals(draw):
+    # 2% to 48% of the mass below zero, so q(0) is well below 0
+    sigma = draw(st.floats(0.5, 30.0, **_positive))
+    mu = draw(st.floats(0.05 * sigma, 2.0 * sigma, **_positive))
+    return Normal(mu, sigma)
+
+
 constants = st.floats(0.1, 500.0, **_positive).map(Constant)
 two_points = st.floats(1.0, 200.0, **_positive).map(TwoPoint)
 binomials = st.builds(

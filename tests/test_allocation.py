@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -277,7 +279,8 @@ def test_alpha_fair_below_the_least_reachable_gap_is_infeasible():
 
 def test_alpha_fair_solve_takes_few_water_fills(monkeypatch):
     # regression: a 512-floor grid, two probe floors and a golden-section
-    # refine around the best grid floor used to cost 577 water-fills here
+    # refine around the best grid floor used to cost 577 water-fills here;
+    # halving on after the allocation was final cost 984 bisection steps
     sc = scenario(900.0, Poisson(200.0), Poisson(400.0), Poisson(400.0))
     calls = []
     water_fill = allocation_module._water_fill
@@ -286,9 +289,39 @@ def test_alpha_fair_solve_takes_few_water_fills(monkeypatch):
         calls.append(args)
         return water_fill(*args)
 
+    # every bisection step evaluates each group's fill once
+    fill_calls = []
+    box_fill = allocation_module._Curve.box_fill
+
+    def counting_box_fill(curve, lo, hi):
+        fill = box_fill(curve, lo, hi)
+
+        def counting_fill(s):
+            fill_calls.append(s)
+            return fill(s)
+
+        return counting_fill
+
     monkeypatch.setattr(allocation_module, "_water_fill", counting_water_fill)
+    monkeypatch.setattr(allocation_module._Curve, "box_fill", counting_box_fill)
     alpha_fair_optimal(sc, 0.05)
     assert len(calls) < 100
+    assert len(fill_calls) / sc.size <= 500
+
+
+def test_alpha_fair_smooth_solve_takes_few_expected_min_calls(monkeypatch):
+    # regression: bisecting every smooth box inverse cost 41,298 calls here
+    sc = scenario(540.0, Normal(100.0, 10.0), Normal(200.0, 20.0), Normal(300.0, 30.0))
+    calls = []
+    expected_min = Normal.expected_min
+
+    def counting_expected_min(dist, v):
+        calls.append(v)
+        return expected_min(dist, v)
+
+    monkeypatch.setattr(Normal, "expected_min", counting_expected_min)
+    alpha_fair_optimal(sc, 0.05)
+    assert len(calls) <= 10_000
 
 
 def test_alpha_fair_below_one_skips_max_utilization(monkeypatch):
@@ -414,3 +447,66 @@ def test_scaled_exponential_max_utilization_is_zero_fair(means, ratio):
     sc = scenario(budget, *(Exponential(m) for m in means))
     alloc = max_utilization(sc)
     assert fairness(sc, alloc) <= 1e-6
+
+
+# ---------------------------------------------------------------- box inverses and water-fill stop
+
+@given(
+    dist=st.one_of(strategies.heavy_normals(), strategies.continuous_distributions),
+    cap_ratio=st.floats(0.5, 40.0),
+    share=st.floats(0.0, 1.0, exclude_max=True),
+    tail=st.one_of(st.none(), st.floats(1e-16, 1e-12)),
+)
+@settings(max_examples=150)
+def test_smooth_box_inverses_match_reference_bisection(dist, cap_ratio, share, tail):
+    curve = allocation_module._Curve(dist, cap_ratio * dist.mean())
+    q0 = curve.em0 / curve.mu
+    target = 1.0 - tail if tail is not None else q0 + (1.0 - q0) * share
+    t = target * curve.mu
+    em = curve.em
+    cases = (
+        (curve.lowest_v_with_q_at_least(target), lambda v: em(v) >= t, 1),
+        (curve.highest_v_with_q_at_most(target), lambda v: em(v) > t, 0),
+    )
+    for v, reached, end in cases:
+        if reached(0.0) or not reached(curve.cap):
+            continue  # answered before any root search
+        assert reached(v) == (end == 1)
+        ref = oracles.bisect_bracket(reached, curve.cap, allocation_module.BISECTION_STEPS)[end]
+        # Where the curve is flat at rounding level, the computed em is not
+        # monotone across the crossing, so v may land on another crossing
+        # whose em agrees with the reference's to rounding.
+        assert (abs(v - ref) <= max(curve.cap * 2.0**-60, math.ulp(ref))
+                or abs(em(v) - em(ref)) <= 8 * math.ulp(curve.mu))
+
+
+@given(
+    dists=st.lists(strategies.discrete_distributions, min_size=1, max_size=4),
+    repeat=st.booleans(),
+    cap=st.floats(1.0, 600.0),
+    ends=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=5, max_size=5),
+    where=st.floats(0.0, 1.0),
+    on_step=st.booleans(),
+)
+@settings(max_examples=200)
+def test_knot_water_fill_stop_matches_full_loop(dists, repeat, cap, ends, where, on_step):
+    # repeat gives two groups the same cdf levels; two_point with k > cap and
+    # a constant past the cap give one group a repeated level
+    if repeat:
+        dists = dists + dists[:1]
+    curves = [allocation_module._Curve(d, cap) for d in dists]
+    lo, hi = [], []
+    for c, (x, y) in zip(curves, ends):
+        top = min(cap, c.dist.support_max())
+        a, b = sorted((x * top, y * top))
+        lo.append(a)
+        hi.append(b)
+    if on_step:
+        # a budget that some cdf level fills exactly
+        budget = sum(c.box_fill(a, b)(where) for c, a, b in zip(curves, lo, hi))
+    else:
+        budget = sum(lo) + where * (sum(hi) - sum(lo))
+    expected = oracles.water_fill_full_loop(
+        curves, budget, lo, hi, allocation_module.BISECTION_STEPS, allocation_module.V_TOLERANCE
+    )
+    assert allocation_module._water_fill(curves, budget, lo, hi) == expected

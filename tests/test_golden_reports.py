@@ -7,9 +7,11 @@ alter reports regenerates them with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
-and the diff of ``tests/golden/reports`` shows exactly what moved.
+which prints the name of every report whose bytes changed; the diff of
+``tests/golden/reports`` shows exactly what moved.
 """
 
+import json
 import os
 import pathlib
 
@@ -66,15 +68,34 @@ def test_report_matches_golden(command, scenario, fmt, tmp_path, monkeypatch):
     assert output.read_bytes() == expected.read_bytes()
 
 
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_optimize_alpha_fair_never_beats_max_utilization(scenario, tmp_path, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    output = tmp_path / "report"
+    assert run_case("optimize", scenario, "json", output) == cli.EXIT_OK
+    result = json.loads(output.read_text())["result"]
+    assert result["alpha_fair"]["utilization"] <= result["max_utilization"]["utilization"]
+
+
 def regenerate():
+    """Rewrite every report; returns the names of those whose bytes changed."""
     os.chdir(GOLDEN)
     reports = GOLDEN / "reports"
     reports.mkdir(exist_ok=True)
+    changed = []
     for command, scenario, fmt in CASES:
-        status = run_case(command, scenario, fmt, reports / report_name(command, scenario, fmt))
+        path = reports / report_name(command, scenario, fmt)
+        before = path.read_bytes() if path.exists() else None
+        status = run_case(command, scenario, fmt, path)
         if status != cli.EXIT_OK:
             raise SystemExit(f"{command} on {scenario} exited {status}")
+        if path.read_bytes() != before:
+            changed.append(path.name)
+    return changed
 
 
 if __name__ == "__main__":
-    regenerate()
+    moved = regenerate()
+    print(f"{len(moved)} of {len(CASES)} reports changed")
+    for name in moved:
+        print(name)
