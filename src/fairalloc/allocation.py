@@ -270,7 +270,7 @@ def _one_level_at_most(levels, a, b):
     return True
 
 
-def _water_fill(curves, budget, lo, hi) -> list:
+def _water_fill(curves, budget, lo, hi, known=(0.0, 1.0)):
     """Maximize sum of E[min(C_i, v_i)] s.t. sum v = budget, lo <= v <= hi.
 
     Bisects a common cdf level in [0, 1] until the levels sum to the budget
@@ -283,6 +283,18 @@ def _water_fill(curves, budget, lo, hi) -> list:
     to running on. Any residual sitting on a survival step is assigned
     greedily by ascending group index (utilization-equivalent on the flat
     segment).
+
+    known = (known_lo, known_hi) are levels whose branch is already known:
+    the fills sum below the budget (by more than V_TOLERANCE) at any level
+    in (0, known_lo] and above it at any level in [known_hi, 1). A midpoint
+    there takes its branch without evaluating the fills. When the known
+    levels are right, each step moves the same end to the same dyadic
+    midpoint as with the default (0, 1), which knows nothing. So the stuck
+    test, the one-level test and the step count see the same bracket, a
+    skipped midpoint could not have met the tolerance test, and the
+    allocation, rebuilt from the fills at the final ends, is bit-identical.
+    Returns (v, (s_lo, s_hi)): the allocation and the final bracket, whose
+    ends carry the same facts for the caller to pass on.
     """
     feas_tol = max(V_TOLERANCE, 1e-9 * max(budget, 1.0))
     sum_lo, sum_hi = sum(lo), sum(hi)
@@ -293,7 +305,9 @@ def _water_fill(curves, budget, lo, hi) -> list:
         )
     fills = [c.box_fill(a, b) for c, a, b in zip(curves, lo, hi)]
     levels = [c.cdfs for c in curves] if all(c.xs is not None for c in curves) else None
+    known_lo, known_hi = known
     s_lo, s_hi = 0.0, 1.0
+    # the fills at s_lo and s_hi, or None when that end's branch was known
     v_low, v_high = list(lo), list(hi)
     for steps in range(1, BISECTION_STEPS + 1):
         s_mid = 0.5 * (s_lo + s_hi)
@@ -302,23 +316,32 @@ def _water_fill(curves, budget, lo, hi) -> list:
         # repeat it. The step still runs because the s = 1.0 end (hi) has not
         # been checked against the budget yet.
         stuck = s_mid == s_lo or s_mid == s_hi
-        v_mid = [fill(s_mid) for fill in fills]
-        total = sum(v_mid)
-        if abs(total - budget) <= V_TOLERANCE:
-            v_low = v_mid
-            break
-        if total < budget:
-            s_lo, v_low = s_mid, v_mid
+        if 0.0 < s_mid <= known_lo:
+            s_lo, v_low = s_mid, None
+        elif known_hi <= s_mid < 1.0:
+            s_hi, v_high = s_mid, None
         else:
-            s_hi, v_high = s_mid, v_mid
+            v_mid = [fill(s_mid) for fill in fills]
+            total = sum(v_mid)
+            if abs(total - budget) <= V_TOLERANCE:
+                v_low = v_mid
+                break
+            if total < budget:
+                s_lo, v_low = s_mid, v_mid
+            else:
+                s_hi, v_high = s_mid, v_mid
         if stuck:
             break
         if (levels is not None and 0.0 < s_lo and s_hi < 1.0
                 and _one_level_at_most(levels, s_lo, s_hi)):
             break
+    if v_low is None:
+        v_low = [fill(s_lo) for fill in fills]
     v = list(v_low)
     residual = budget - sum(v)
     if residual > 0.0:
+        if v_high is None:
+            v_high = [fill(s_hi) for fill in fills]
         for i in range(len(v)):
             head = v_high[i] - v[i]
             if head <= 0.0:
@@ -343,7 +366,7 @@ def _water_fill(curves, budget, lo, hi) -> list:
             f"water-filling missed the budget by {sum(v) - budget!r} "
             f"after {steps} bisection steps"
         )
-    return v
+    return v, (s_lo, s_hi)
 
 
 def _prologue(scenario: Scenario):
@@ -366,6 +389,13 @@ def _prologue(scenario: Scenario):
     return None, [_Curve(g.dist, budget) for g in scenario.groups]
 
 
+def _max_fill(curves, budget) -> Allocation:
+    """The unconstrained water-fill of the curves _prologue built."""
+    lo = [0.0] * len(curves)
+    hi = [min(budget, c.dist.support_max()) for c in curves]
+    return Allocation(tuple(_water_fill(curves, budget, lo, hi)[0]))
+
+
 def max_utilization(scenario: Scenario) -> Allocation:
     """Unconstrained maximizer of total expected consumption (water-filling).
 
@@ -375,10 +405,7 @@ def max_utilization(scenario: Scenario) -> Allocation:
     shortcut, curves = _prologue(scenario)
     if shortcut is not None:
         return shortcut
-    budget = scenario.resource
-    lo = [0.0] * len(curves)
-    hi = [min(budget, c.dist.support_max()) for c in curves]
-    return Allocation(tuple(_water_fill(curves, budget, lo, hi)))
+    return _max_fill(curves, scenario.resource)
 
 
 def alpha_fair_optimal(scenario: Scenario, alpha: float) -> Allocation:
@@ -391,19 +418,18 @@ def alpha_fair_optimal(scenario: Scenario, alpha: float) -> Allocation:
     golden-section search over the whole interval finds the best floor.
     The result satisfies Q <= alpha + 1e-6 and sums to R within 1e-9 R.
     """
-    return _alpha_fair(scenario, alpha, None)
-
-
-def _alpha_fair(scenario: Scenario, alpha: float, v_max: Optional[Allocation]) -> Allocation:
-    # v_max is the max-utilization allocation when the caller already has it;
-    # it is the answer when the constraint is vacuous.
     alpha = metrics.check_alpha(alpha)
-    if alpha >= 1.0:
-        # Q <= 1 identically, so the constraint is vacuous.
-        return v_max if v_max is not None else max_utilization(scenario)
     shortcut, curves = _prologue(scenario)
     if shortcut is not None:
         return shortcut
+    if alpha >= 1.0:
+        # Q <= 1 identically, so the constraint is vacuous.
+        return _max_fill(curves, scenario.resource)
+    return _alpha_fair(scenario, alpha, curves)
+
+
+def _alpha_fair(scenario: Scenario, alpha: float, curves) -> Allocation:
+    # The alpha-fair optimum for alpha < 1 on the curves _prologue built.
     budget = scenario.resource
 
     # First pass inverts the fairness band exactly. Near availability 1 the
@@ -448,16 +474,16 @@ def _floor_sweep(curves, budget, alpha, band_slop):
             hi[i] = max(high, low)
         return lo, hi
 
-    def solve(ell):
+    def solve(ell, known):
         bx = boxes(ell)
         if bx is None:
             return None
         try:
-            v = _water_fill(curves, budget, *bx)
+            v, bracket = _water_fill(curves, budget, *bx, known)
         except InfeasibleError:
             return None
         value = sum(c.em(x) for c, x in zip(curves, v))
-        return value, v
+        return value, v, bracket
 
     # Strict predicates: the searched interval must contain only floors whose
     # boxes genuinely bracket the budget, else searched floors sit a tolerance
@@ -489,15 +515,32 @@ def _floor_sweep(curves, budget, alpha, band_slop):
     ell_min = min(ell_min, ell_max)
 
     best_value, best_v = -math.inf, None
+    brackets = {}  # final water-fill bracket of each feasible scored floor
 
-    def score(ell):
+    # Every box end is nondecreasing in ell, so at each cdf level s the fills'
+    # total T_ell(s) is too. A level where a floor left of ell summed above
+    # the budget sums above it at ell, and one where a floor right of ell
+    # summed below sums below at ell: ell's fill inherits the s_hi of its left
+    # neighbour and the s_lo of its right one. The neighbours are compared as
+    # doubles, since near the stop rounding can put a new point outside them,
+    # and an inherited bracket that is empty (possible only where rounding
+    # breaks the monotonicity) is dropped.
+    def score(ell, left=None, right=None):
         nonlocal best_value, best_v
-        result = solve(ell)
+        known_lo, known_hi = 0.0, 1.0
+        if left in brackets and left <= ell:
+            known_hi = brackets[left][1]
+        if right in brackets and right >= ell:
+            known_lo = brackets[right][0]
+        if known_lo >= known_hi:
+            known_lo, known_hi = 0.0, 1.0
+        result = solve(ell, (known_lo, known_hi))
         if result is None:
             return -math.inf
-        if result[0] > best_value:
-            best_value, best_v = result
-        return result[0]
+        value, v, brackets[ell] = result
+        if value > best_value:
+            best_value, best_v = value, v
+        return value
 
     # Golden-section search over the whole interval: U*(ell), the utilization
     # solve(ell) reaches, is concave there. With g_i the inverse of q_i, convex
@@ -510,19 +553,20 @@ def _floor_sweep(curves, budget, alpha, band_slop):
     # where U* is flat the ties move the bracket towards the dense doubles at 0.
     a, b = ell_min, ell_max
     score(a)
-    score(b)
+    score(b, a)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = score(c), score(d)
+    fc = score(c, a, b)
+    fd = score(d, c, b)
     while b - a > 1e-15:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = score(c)
+            fc = score(c, a, d)
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = score(d)
+            fd = score(d, c, b)
     if best_v is None:
         raise InfeasibleError(
             f"availability floor sweep found no feasible point in "
@@ -534,13 +578,20 @@ def _floor_sweep(curves, budget, alpha, band_slop):
 def _optima(scenario: Scenario, alpha: float):
     """(v_max, u_max, v_fair, u_fair): both optima with their utilizations.
 
+    Both solves share one _prologue, so each curve is built once.
+
     The max-utilization U is never below the alpha-fair one: when the
     water-fill stops an ulp short of the optimum, the alpha-fair allocation,
     feasible without the constraint, is the better one and replaces it.
     """
-    v_max = max_utilization(scenario)
+    alpha = metrics.check_alpha(alpha)
+    shortcut, curves = _prologue(scenario)
+    if shortcut is not None:
+        v_max = v_fair = shortcut
+    else:
+        v_max = _max_fill(curves, scenario.resource)
+        v_fair = v_max if alpha >= 1.0 else _alpha_fair(scenario, alpha, curves)
     u_max = metrics.utilization(scenario, v_max)
-    v_fair = _alpha_fair(scenario, alpha, v_max)
     u_fair = metrics.utilization(scenario, v_fair)
     if u_fair > u_max:
         v_max, u_max = v_fair, u_fair

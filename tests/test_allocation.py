@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from fairalloc.distributions import (
     TwoPoint,
 )
 from fairalloc.metrics import Allocation, Group, Scenario, fairness, utilization
+from fairalloc.scenario_io import load_scenario_path
 
 
 def scenario(resource, *dists):
@@ -277,19 +279,8 @@ def test_alpha_fair_below_the_least_reachable_gap_is_infeasible():
         alpha_fair_optimal(sc, 0.1)
 
 
-def test_alpha_fair_solve_takes_few_water_fills(monkeypatch):
-    # regression: a 512-floor grid, two probe floors and a golden-section
-    # refine around the best grid floor used to cost 577 water-fills here;
-    # halving on after the allocation was final cost 984 bisection steps
-    sc = scenario(900.0, Poisson(200.0), Poisson(400.0), Poisson(400.0))
-    calls = []
-    water_fill = allocation_module._water_fill
-
-    def counting_water_fill(*args):
-        calls.append(args)
-        return water_fill(*args)
-
-    # every bisection step evaluates each group's fill once
+def count_fill_steps(monkeypatch):
+    """A list that grows by one per group per evaluated water-fill step."""
     fill_calls = []
     box_fill = allocation_module._Curve.box_fill
 
@@ -302,15 +293,33 @@ def test_alpha_fair_solve_takes_few_water_fills(monkeypatch):
 
         return counting_fill
 
-    monkeypatch.setattr(allocation_module, "_water_fill", counting_water_fill)
     monkeypatch.setattr(allocation_module._Curve, "box_fill", counting_box_fill)
+    return fill_calls
+
+
+def test_alpha_fair_solve_takes_few_water_fills(monkeypatch):
+    # regression: a 512-floor grid, two probe floors and a golden-section
+    # refine around the best grid floor used to cost 577 water-fills here;
+    # halving on after the allocation was final cost 984 bisection steps,
+    # and bisecting each floor's cdf level from [0, 1] again cost 395
+    sc = scenario(900.0, Poisson(200.0), Poisson(400.0), Poisson(400.0))
+    calls = []
+    water_fill = allocation_module._water_fill
+
+    def counting_water_fill(*args):
+        calls.append(args)
+        return water_fill(*args)
+
+    monkeypatch.setattr(allocation_module, "_water_fill", counting_water_fill)
+    fill_calls = count_fill_steps(monkeypatch)
     alpha_fair_optimal(sc, 0.05)
     assert len(calls) < 100
-    assert len(fill_calls) / sc.size <= 500
+    assert len(fill_calls) / sc.size <= 250
 
 
 def test_alpha_fair_smooth_solve_takes_few_expected_min_calls(monkeypatch):
-    # regression: bisecting every smooth box inverse cost 41,298 calls here
+    # regression: bisecting every smooth box inverse cost 41,298 calls here,
+    # and bisecting each floor's cdf level from [0, 1] again 2,448 fill steps
     sc = scenario(540.0, Normal(100.0, 10.0), Normal(200.0, 20.0), Normal(300.0, 30.0))
     calls = []
     expected_min = Normal.expected_min
@@ -320,24 +329,81 @@ def test_alpha_fair_smooth_solve_takes_few_expected_min_calls(monkeypatch):
         return expected_min(dist, v)
 
     monkeypatch.setattr(Normal, "expected_min", counting_expected_min)
+    fill_calls = count_fill_steps(monkeypatch)
     alpha_fair_optimal(sc, 0.05)
     assert len(calls) <= 10_000
+    assert len(fill_calls) / sc.size <= 1_500
 
 
 def test_alpha_fair_below_one_skips_max_utilization(monkeypatch):
+    # pof used to build every curve twice: once for each optimum
     sc = scenario(900.0, Poisson(200.0), Poisson(400.0), Poisson(400.0))
-    calls = []
-    max_utilization_solve = allocation_module.max_utilization
+    prologues, max_fills = [], []
+    prologue, max_fill = allocation_module._prologue, allocation_module._max_fill
 
-    def counting(scenario):
-        calls.append(scenario)
-        return max_utilization_solve(scenario)
+    def counting_prologue(scenario):
+        prologues.append(scenario)
+        return prologue(scenario)
 
-    monkeypatch.setattr(allocation_module, "max_utilization", counting)
+    def counting_max_fill(*args):
+        max_fills.append(args)
+        return max_fill(*args)
+
+    monkeypatch.setattr(allocation_module, "_prologue", counting_prologue)
+    monkeypatch.setattr(allocation_module, "_max_fill", counting_max_fill)
     alpha_fair_optimal(sc, 0.05)
-    assert calls == []
+    assert (len(prologues), len(max_fills)) == (1, 0)
     pof(sc, 0.05)
-    assert len(calls) == 1
+    assert (len(prologues), len(max_fills)) == (2, 1)
+
+
+def fresh_bracket_water_fill(monkeypatch):
+    """Make every water-fill start from [0, 1], ignoring any inherited bracket."""
+    water_fill = allocation_module._water_fill
+
+    def fresh(curves, budget, lo, hi, known=(0.0, 1.0)):
+        return water_fill(curves, budget, lo, hi)
+
+    monkeypatch.setattr(allocation_module, "_water_fill", fresh)
+
+
+def solve_outcomes(sc, alpha):
+    """alpha_fair_optimal and pof results, or the error each raised."""
+    outcomes = []
+    for solve in (lambda: alpha_fair_optimal(sc, alpha).values,
+                  lambda: pof(sc, alpha).to_dict()):
+        try:
+            outcomes.append(solve())
+        except allocation_module.OptimizerError as exc:
+            outcomes.append(repr(exc))
+    return outcomes
+
+
+GOLDEN_SCENARIOS = sorted(
+    (pathlib.Path(__file__).parent / "golden" / "scenarios").glob("*.json")
+)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.25])
+@pytest.mark.parametrize("path", GOLDEN_SCENARIOS, ids=lambda path: path.stem)
+def test_inherited_fill_brackets_keep_golden_solves_bit_identical(path, alpha, monkeypatch):
+    sc = load_scenario_path(str(path)).scenario
+    inherited = solve_outcomes(sc, alpha)
+    fresh_bracket_water_fill(monkeypatch)
+    assert inherited == solve_outcomes(sc, alpha)
+
+
+@given(dists=st.lists(st.one_of(strategies.demand_distributions, strategies.heavy_normals()),
+                      min_size=2, max_size=4),
+       ratio=st.floats(0.2, 1.5),
+       alpha=st.sampled_from([0.05, 0.25]))
+@settings(max_examples=60)
+def test_inherited_fill_brackets_keep_solves_bit_identical(dists, ratio, alpha):
+    sc = scenario(ratio * sum(d.mean() for d in dists), *dists)
+    inherited = solve_outcomes(sc, alpha)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        fresh_bracket_water_fill(monkeypatch)
+        assert inherited == solve_outcomes(sc, alpha)
 
 
 @given(dists=st.lists(strategies.demand_distributions, min_size=2, max_size=4),
@@ -509,4 +575,4 @@ def test_knot_water_fill_stop_matches_full_loop(dists, repeat, cap, ends, where,
     expected = oracles.water_fill_full_loop(
         curves, budget, lo, hi, allocation_module.BISECTION_STEPS, allocation_module.V_TOLERANCE
     )
-    assert allocation_module._water_fill(curves, budget, lo, hi) == expected
+    assert allocation_module._water_fill(curves, budget, lo, hi)[0] == expected

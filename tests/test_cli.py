@@ -120,17 +120,23 @@ def test_optimize_reports_both_optima(capsys, poisson3):
 
 
 def test_optimize_solves_max_utilization_once(capsys, poisson3, monkeypatch):
-    calls = []
-    max_utilization = allocation_module.max_utilization
+    # both optima come from one set of curves and one unconstrained fill
+    prologues, max_fills = [], []
+    prologue, max_fill = allocation_module._prologue, allocation_module._max_fill
 
-    def counting(scenario):
-        calls.append(scenario)
-        return max_utilization(scenario)
+    def counting_prologue(scenario):
+        prologues.append(scenario)
+        return prologue(scenario)
 
-    monkeypatch.setattr(allocation_module, "max_utilization", counting)
+    def counting_max_fill(*args):
+        max_fills.append(args)
+        return max_fill(*args)
+
+    monkeypatch.setattr(allocation_module, "_prologue", counting_prologue)
+    monkeypatch.setattr(allocation_module, "_max_fill", counting_max_fill)
     code, _, _ = run(capsys, "optimize", "--scenario", poisson3, "--alpha", "0.1")
     assert code == EXIT_OK
-    assert len(calls) == 1
+    assert (len(prologues), len(max_fills)) == (1, 1)
 
 
 def test_optimize_without_alpha_skips_constrained_run(capsys, poisson3):

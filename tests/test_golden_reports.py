@@ -14,6 +14,8 @@ which prints the name of every report whose bytes changed; the diff of
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -77,6 +79,17 @@ def test_optimize_alpha_fair_never_beats_max_utilization(scenario, tmp_path, mon
     assert result["alpha_fair"]["utilization"] <= result["max_utilization"]["utilization"]
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["reports"]])
+def test_regenerate_script_rejects_arguments(argv):
+    reports = sorted((GOLDEN / "reports").iterdir())
+    stamps = [path.stat().st_mtime_ns for path in reports]
+    done = subprocess.run([sys.executable, __file__, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(GOLDEN.parents[1] / "src")})
+    assert done.returncode == 2
+    assert done.stderr.startswith("usage:")
+    assert [path.stat().st_mtime_ns for path in reports] == stamps
+
+
 def regenerate():
     """Rewrite every report; returns the names of those whose bytes changed."""
     os.chdir(GOLDEN)
@@ -95,6 +108,11 @@ def regenerate():
 
 
 if __name__ == "__main__":
+    if len(sys.argv) > 1:
+        # any argument, --help included, is a mistake: regenerating rewrites every report
+        print(f"usage: PYTHONPATH=src python {sys.argv[0]}  (takes no arguments; "
+              "rewrites every golden report)", file=sys.stderr)
+        raise SystemExit(2)
     moved = regenerate()
     print(f"{len(moved)} of {len(CASES)} reports changed")
     for name in moved:
