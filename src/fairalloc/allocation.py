@@ -16,6 +16,7 @@ bracket towards its lower end.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -102,6 +103,43 @@ def _bisect(pred, a, b):
     return a, b
 
 
+def _reached(f, strict):
+    """Whether a gap f has reached its crossing: f > 0 if strict, else f >= 0."""
+    return f > 0.0 or (f == 0.0 and not strict)
+
+
+def _rtsafe(gap, slope, strict, a, b, x, fx):
+    """Safeguarded Newton steps towards the crossing of an increasing gap through 0.
+
+    The gap counts as reached where it is > 0 (strict) or >= 0. Callers keep
+    it unreached at a and reached at b, and start from x, one of the two,
+    with fx = gap(x). Each step follows the tangent at x, with slope(x) any
+    slope of the gap there; the callers say which side of the crossing it
+    lands on. A step that rounds onto x probes the adjacent double towards
+    the other end instead. A step that leaves the bracket, or that has no
+    finite positive slope, is replaced by a halving of the bracket. Stops
+    after BISECTION_STEPS steps, or once no double lies between the ends,
+    and returns the bracket (a, b) for _bisect to finish, as rtsafe does
+    (Press et al., Numerical Recipes, section 9.4).
+    """
+    for _ in range(BISECTION_STEPS):
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            break
+        d = slope(x)
+        y = x - fx / d if 0.0 < d < math.inf else math.nan
+        if y == x:
+            y = math.nextafter(x, b if x == a else a)
+        if not a < y < b:
+            y = m
+        x, fx = y, gap(y)
+        if _reached(fx, strict):
+            b = x
+        else:
+            a = x
+    return a, b
+
+
 class _Curve:
     """Fast exact evaluator of one group's E[min(C, v)] on [0, cap].
 
@@ -122,10 +160,11 @@ class _Curve:
             self.xs, self.cdfs, self.sfs, self.ems = table
         # negative for a normal model with mass below zero
         self.em0 = self.em(0.0)
+        self.em_cap = self.em(self.cap)
 
     def em(self, v: float) -> float:
         if self.xs is None:
-            return self.dist.expected_min(v)
+            return self.dist._expected_min(v)
         idx = bisect.bisect_right(self.xs, v) - 1
         if idx < 0:
             return 0.0
@@ -141,6 +180,17 @@ class _Curve:
         if idx < 0:
             return 0.0
         return self.cdfs[idx]
+
+    def inverse_slope(self, v: float) -> float:
+        """Slope dv/dq of the box inverses at v: mu over the survival right of v.
+
+        On knots the survival is that of v's segment; inf where it is 0.
+        """
+        if self.xs is None:
+            sf = self.dist.survival(v)
+        else:
+            sf = self.sfs[bisect.bisect_right(self.xs, v) - 1]
+        return self.mu / sf if sf > 0.0 else math.inf
 
     def _quantile(self, s: float) -> float:
         if self.xs is None:
@@ -173,50 +223,56 @@ class _Curve:
 
         return fill
 
-    def _newton(self, t: float, strict: bool):
-        """Bracket (a, b) in [0, cap] of the crossing of em(v) = t on a smooth law.
+    def _newton(self, t: float, strict: bool, near) -> float:
+        """The crossing of em(v) = t on a smooth law: the b end below, the a end if strict.
 
-        At a, em(a) < t (em(a) <= t if strict); at b, em(b) >= t (em(b) > t
-        if strict); callers have checked both at v = 0 and v = cap. Each
-        Newton step starts from the end evaluated last and uses the exact
-        slope survival(v). E[min(C, v)] is concave, so its tangent lies above
-        it and a step from either end lands at or left of the crossing, up to
-        rounding: from 0 the steps climb towards it, and an end that rounding
-        put past it steps back to its left. A step below one ulp probes the
-        adjacent double towards the other end instead. Whatever bracket is
-        left when a step would leave it, the slope vanishes or the steps run
-        out goes to _bisect, as in rtsafe (Numerical Recipes, section 9.4).
+        The bracket (a, b) in [0, cap] keeps em(a) < t (em(a) <= t if strict)
+        and em(b) >= t (em(b) > t if strict); callers have checked both at
+        v = 0 and v = cap. _rtsafe steps with the exact slope survival(v).
+        E[min(C, v)] is concave, so its tangent lies above it and a step from
+        either end lands at or left of the crossing, up to rounding: from a
+        the steps climb towards it, and an end that rounding put past it
+        steps back to its left. _bisect finishes the bracket _rtsafe leaves.
+
+        near = (below, above) are this inverse's results at a lower and a
+        higher target, or None. Each is checked with one em call before it
+        is used, and dropped if it fails: below replaces 0 as the left end
+        and the start when it lies left of the crossing. Steps from there
+        never pass the crossing, so above is checked only when below is not
+        used, and then replaces cap as the right end and the start when it
+        lies right of the crossing.
         """
-        def reached(e):
-            return e > t if strict else e >= t
+        em = self.dist._expected_min
+
+        def gap(v):
+            return em(v) - t
 
         a, b = 0.0, self.cap
-        x, e = a, self.em0
-        for _ in range(BISECTION_STEPS):
-            s = self.dist.survival(x)
-            if not s > 0.0:
-                break
-            y = x + (t - e) / s
-            if y == x:
-                y = math.nextafter(x, b if x == a else a)
-            if not a < y < b:
-                break
-            x, e = y, self.em(y)
-            if reached(e):
-                b = x
-            else:
-                a = x
-        return _bisect(lambda v: reached(self.em(v)), a, b)
+        x, fx = a, self.em0 - t
+        below, above = near
+        if below is not None and a < below < b:
+            f = gap(below)
+            if not _reached(f, strict):
+                a, x, fx = below, below, f
+        if a == 0.0 and above is not None and a < above < b:
+            f = gap(above)
+            if _reached(f, strict):
+                b, x, fx = above, above, f
+        a, b = _rtsafe(gap, self.dist.survival, strict, a, b, x, fx)
+        return _bisect(lambda v: _reached(gap(v), strict), a, b)[0 if strict else 1]
 
-    def lowest_v_with_q_at_least(self, target: float) -> Optional[float]:
-        """Smallest v in [0, cap] with q(v) >= target, or None if unreachable."""
+    def lowest_v_with_q_at_least(self, target: float, near=(None, None)) -> Optional[float]:
+        """Smallest v in [0, cap] with q(v) >= target, or None if unreachable.
+
+        near is passed to _newton on smooth laws (see there); knots ignore it.
+        """
         t = target * self.mu
         if self.em0 >= t:
             return 0.0
         if self.xs is None:
-            if self.em(self.cap) < t:
+            if self.em_cap < t:
                 return None
-            return self._newton(t, False)[1]
+            return self._newton(t, False, near)
         ems = self.ems
         idx = bisect.bisect_left(ems, t)  # >= 1, since ems[0] = em0 < t
         if idx >= len(ems):
@@ -232,20 +288,23 @@ class _Curve:
             # overshoot even though the right knot already satisfies em >= t
             v = min(self.xs[idx - 1] + (t - ems[idx - 1]) / sf, self.xs[idx])
         if v > self.cap:
-            if self.em(self.cap) >= t - 1e-12 * max(1.0, t):
+            if self.em_cap >= t - 1e-12 * max(1.0, t):
                 return self.cap
             return None
         return v
 
-    def highest_v_with_q_at_most(self, target: float) -> Optional[float]:
-        """Largest v in [0, cap] with q(v) <= target, or None if q(0) > target."""
+    def highest_v_with_q_at_most(self, target: float, near=(None, None)) -> Optional[float]:
+        """Largest v in [0, cap] with q(v) <= target, or None if q(0) > target.
+
+        near is passed to _newton on smooth laws (see there); knots ignore it.
+        """
         t = target * self.mu
         if self.em0 > t:
             return None
-        if self.em(self.cap) <= t:
+        if self.em_cap <= t:
             return self.cap
         if self.xs is None:
-            return self._newton(t, True)[0]
+            return self._newton(t, True, near)
         idx = bisect.bisect_right(self.ems, t) - 1  # >= 0, since ems[0] = em0 <= t
         sf = self.sfs[idx]
         if sf <= 0.0:
@@ -451,21 +510,129 @@ def _alpha_fair(scenario: Scenario, alpha: float, curves) -> Allocation:
     return alloc
 
 
-def _floor_sweep(curves, budget, alpha, band_slop):
-    # Per-group box ends for floor ell: the least v reaching q = ell, and the
-    # most v keeping q <= ell + alpha (no top once the band reaches 1). None
-    # marks a group that cannot meet its end of the band.
-    def lows(ell):
-        return [c.lowest_v_with_q_at_least(ell - band_slop) for c in curves]
+def _box_ends(curves, budget, alpha, band_slop):
+    """(lows, highs): each group's box ends as functions of the floor ell.
 
-    def highs(ell):
+    lows(ell) are the least v reaching q = ell and highs(ell) the most v
+    keeping q <= ell + alpha (no top once the band reaches 1); None marks a
+    group that cannot meet its end of the band. Each floor's ends are
+    computed once, and callers must not change the lists. Every end is
+    nondecreasing in ell, so a smooth law's inverse at a new floor starts
+    from its ends at the nearest floors already computed on either side.
+    Without smooth laws no inverse takes them, and they are not looked up.
+    """
+    n = len(curves)
+    smooth = any(c.xs is None for c in curves)
+
+    def memoised(ends_at):
+        ends, floors = {}, []  # floors: the keys of ends, sorted, if smooth
+
+        def at(ell):
+            e = ends.get(ell)
+            if e is None:
+                if smooth:
+                    i = bisect.bisect_left(floors, ell)
+                    below = ends[floors[i - 1]] if i > 0 else (None,) * n
+                    above = ends[floors[i]] if i < len(floors) else (None,) * n
+                    floors.insert(i, ell)
+                    near = zip(below, above)
+                else:
+                    near = itertools.repeat((None, None))
+                e = ends[ell] = ends_at(ell, near)
+            return e
+
+        return at
+
+    def lows(ell, near):
+        target = ell - band_slop
+        return [c.lowest_v_with_q_at_least(target, ab) for c, ab in zip(curves, near)]
+
+    def highs(ell, near):
         band_top = ell + alpha + band_slop
         if band_top >= 1.0:
-            return [budget] * len(curves)
-        return [c.highest_v_with_q_at_most(band_top) for c in curves]
+            return [budget] * n
+        return [c.highest_v_with_q_at_most(band_top, ab) for c, ab in zip(curves, near)]
+
+    return memoised(lows), memoised(highs)
+
+
+def _feasible_floors(curves, budget, alpha, band_slop):
+    """(ell_min, ell_max, lows, highs): the floors whose boxes can meet the budget.
+
+    lows and highs are the _box_ends the interval was found with. Raises
+    InfeasibleError when no floor is feasible.
+    """
+    lows, highs = _box_ends(curves, budget, alpha, band_slop)
+
+    # Strict predicates: the searched interval must contain only floors whose
+    # boxes genuinely bracket the budget, else searched floors sit a tolerance
+    # outside feasibility and the clamped fill cannot meet the budget. A floor
+    # fits while sum(lows) <= budget and reaches once sum(highs) >= budget.
+    def lo_gap(ell):
+        lo = lows(ell)
+        return math.inf if None in lo else sum(lo) - budget
+
+    def hi_gap(ell):
+        hi = highs(ell)
+        return -math.inf if None in hi else sum(hi) - budget
+
+    # Slopes of the sums in ell from the right: group i adds dv/dq at its end,
+    # unless its end stays put there (at 0 below q_i(0), or at the cap).
+    def lo_slope(ell):
+        lo = lows(ell)
+        if None in lo:
+            return 0.0
+        target = ell - band_slop
+        return sum(c.inverse_slope(v) for c, v in zip(curves, lo) if c.em0 <= target * c.mu)
+
+    def hi_slope(ell):
+        hi = highs(ell)
+        if None in hi:
+            return 0.0
+        return sum(c.inverse_slope(v) for c, v in zip(curves, hi) if v < c.cap)
+
+    # The feasible floors form an interval: both sums are nondecreasing in
+    # ell. No allocation has an availability below the lowest q_i(0), which
+    # is negative when a normal model puts mass below zero. Each end is where
+    # a sum crosses the budget. A box end is g_i(ell), with g_i the inverse
+    # of q_i, convex since q_i is concave and increasing, and clipping it at
+    # 0 keeps it convex, so each sum is convex. Its tangent lies below it: a
+    # Newton step from the left of the crossing lands at or right of it, and
+    # from then on the steps move down onto it from the right. (A high end
+    # clipped at the cap holds the whole budget alone, so that kink lies
+    # right of the crossing; a step across it that lands left of the
+    # crossing just becomes the bracket's left end.) _rtsafe takes the
+    # steps. The final _bisect runs the halvings of [q0, 1] that bisection
+    # alone would run, evaluating only the midpoints inside the bracket
+    # Newton left, whose side the bracket ends already tell; so the ends
+    # are the ones bisection alone finds.
+    q0 = min(c.em0 / c.mu for c in curves)
+
+    def crossing(gap, slope, strict, end):
+        if not _reached(gap(1.0), strict):
+            return 1.0
+        f0 = gap(q0)
+        if _reached(f0, strict):
+            return q0
+        a, b = _rtsafe(gap, slope, strict, q0, 1.0, q0, f0)
+        return _bisect(
+            lambda ell: ell >= b or (ell > a and _reached(gap(ell), strict)), q0, 1.0
+        )[end]
+
+    ell_max = crossing(lo_gap, lo_slope, True, 0)
+    ell_min = crossing(hi_gap, hi_slope, False, 1)
+    if ell_min > ell_max + 1e-9:
+        raise InfeasibleError(
+            f"no availability floor admits a feasible fairness band for alpha={alpha!r}"
+        )
+    return min(ell_min, ell_max), ell_max, lows, highs
+
+
+def _floor_sweep(curves, budget, alpha, band_slop):
+    ell_min, ell_max, lows, highs = _feasible_floors(curves, budget, alpha, band_slop)
 
     def boxes(ell):
-        lo, hi = lows(ell), highs(ell)
+        lo, hi = lows(ell), list(highs(ell))
         if None in lo or None in hi:
             return None
         for i, (low, high) in enumerate(zip(lo, hi)):
@@ -484,35 +651,6 @@ def _floor_sweep(curves, budget, alpha, band_slop):
             return None
         value = sum(c.em(x) for c, x in zip(curves, v))
         return value, v, bracket
-
-    # Strict predicates: the searched interval must contain only floors whose
-    # boxes genuinely bracket the budget, else searched floors sit a tolerance
-    # outside feasibility and the clamped fill cannot meet the budget.
-    def lo_fits(ell):
-        lo = lows(ell)
-        return None not in lo and sum(lo) <= budget
-
-    def hi_reaches(ell):
-        hi = highs(ell)
-        return None not in hi and sum(hi) >= budget
-
-    # The feasible floors form an interval: both predicates are monotone in ell.
-    # No allocation has an availability below the lowest q_i(0), which is
-    # negative when a normal model puts mass below zero.
-    q0 = min(c.em0 / c.mu for c in curves)
-    if lo_fits(1.0):
-        ell_max = 1.0
-    else:
-        ell_max = _bisect(lambda ell: not lo_fits(ell), q0, 1.0)[0]
-    if hi_reaches(q0):
-        ell_min = q0
-    else:
-        ell_min = _bisect(hi_reaches, q0, 1.0)[1]
-    if ell_min > ell_max + 1e-9:
-        raise InfeasibleError(
-            f"no availability floor admits a feasible fairness band for alpha={alpha!r}"
-        )
-    ell_min = min(ell_min, ell_max)
 
     best_value, best_v = -math.inf, None
     brackets = {}  # final water-fill bracket of each feasible scored floor
@@ -546,11 +684,12 @@ def _floor_sweep(curves, budget, alpha, band_slop):
     # solve(ell) reaches, is concave there. With g_i the inverse of q_i, convex
     # since q_i is concave and nondecreasing, solve(ell) equals max sum mu_i q_i
     # s.t. sum g_i(q_i) <= R, ell <= q_i <= ell + alpha (U is nondecreasing in
-    # v, and hi_reaches lets leftover budget be spent inside the boxes). That
-    # set is jointly convex in (q, ell) and the objective is linear, so U* is
-    # concave. Both ends are scored first: a float-degenerate interval can
-    # differ in feasibility at its two ends. The stop is an absolute width, as
-    # where U* is flat the ties move the bracket towards the dense doubles at 0.
+    # v, and every floor in the interval has sum(highs) >= R, so leftover budget
+    # can be spent inside the boxes). That set is jointly convex in (q, ell) and
+    # the objective is linear, so U* is concave. Both ends are scored first: a
+    # float-degenerate interval can differ in feasibility at its two ends. The
+    # stop is an absolute width, as where U* is flat the ties move the bracket
+    # towards the dense doubles at 0.
     a, b = ell_min, ell_max
     score(a)
     score(b, a)

@@ -102,7 +102,11 @@ def availability(dist: DemandDistribution, v: float) -> float:
     out-of-range values (a normal model with heavy negative mass) pass
     through so the misuse stays visible.
     """
-    value = dist.expected_min(v) / dist.mean()
+    return clamp_availability(dist.expected_min(v) / dist.mean())
+
+
+def clamp_availability(value: float) -> float:
+    """An availability computed elsewhere, clamped as ``availability`` clamps it."""
     if -1e-9 <= value < 0.0:
         return 0.0
     if 1.0 < value <= 1.0 + 1e-9:

@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import __version__
 from .distributions import FAMILIES, DemandDistribution, DistributionError, Empirical
-from .metrics import Group, Scenario, availability
+from .metrics import Group, Scenario, clamp_availability
 
 TOOL_NAME = "fairalloc"
 
@@ -214,10 +214,12 @@ def emit_availability_curve(dist: DemandDistribution, v_max: float, steps: int):
     if not math.isfinite(v_max) or v_max <= 0.0:
         raise ValueError(f"v_max must be a positive finite real, got {v_max!r}")
     rows = []
+    mean = dist.mean()
     span = v_max / (steps - 1)
     for i in range(steps):
         v = v_max if i == steps - 1 else i * span
-        rows.append((v, availability(dist, v), dist.expected_min(v)))
+        em = dist.expected_min(v)
+        rows.append((v, clamp_availability(em / mean), em))
     return rows
 
 

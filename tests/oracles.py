@@ -101,14 +101,14 @@ def cdf_brute(values, probs, x):
     return float(probs[values <= x].sum())
 
 
-def bisect_bracket(pred, cap, steps):
-    """Final bracket (a, b) of halving [0, cap] around the point where pred turns true.
+def bisect_bracket(pred, a, b, steps):
+    """Final bracket (a, b) of halving [a, b] around the point where pred turns true.
 
-    pred(0) must be false and pred(cap) true. This is the loop the smooth-law
-    box inverses ran before they took Newton steps: ``steps`` halvings, or
-    fewer once no double lies strictly between the ends.
+    pred(a) must be false and pred(b) true. This is the loop the smooth-law
+    box inverses and the floor interval's ends ran before they took Newton
+    steps: ``steps`` halvings, or fewer once no double lies strictly between
+    the ends.
     """
-    a, b = 0.0, cap
     for _ in range(steps):
         m = 0.5 * (a + b)
         if m == a or m == b:
@@ -118,6 +118,44 @@ def bisect_bracket(pred, cap, steps):
         else:
             a = m
     return a, b
+
+
+def floor_interval_bisect(curves, budget, alpha, band_slop, steps):
+    """(ell_min, ell_max) of the alpha-fair floor sweep, or None when it is empty.
+
+    Bisects each end over [q0, 1] with ``bisect_bracket``, inverting every
+    group's box afresh at each point, as the sweep did before it took Newton
+    steps on the sums of the box ends.
+    """
+    def lows(ell):
+        return [c.lowest_v_with_q_at_least(ell - band_slop) for c in curves]
+
+    def highs(ell):
+        band_top = ell + alpha + band_slop
+        if band_top >= 1.0:
+            return [budget] * len(curves)
+        return [c.highest_v_with_q_at_most(band_top) for c in curves]
+
+    def lo_fits(ell):
+        lo = lows(ell)
+        return None not in lo and sum(lo) <= budget
+
+    def hi_reaches(ell):
+        hi = highs(ell)
+        return None not in hi and sum(hi) >= budget
+
+    q0 = min(c.em0 / c.mu for c in curves)
+    if lo_fits(1.0):
+        ell_max = 1.0
+    else:
+        ell_max = bisect_bracket(lambda ell: not lo_fits(ell), q0, 1.0, steps)[0]
+    if hi_reaches(q0):
+        ell_min = q0
+    else:
+        ell_min = bisect_bracket(hi_reaches, q0, 1.0, steps)[1]
+    if ell_min > ell_max + 1e-9:
+        return None
+    return min(ell_min, ell_max), ell_max
 
 
 def water_fill_full_loop(curves, budget, lo, hi, steps, tol):
