@@ -259,6 +259,8 @@ def _cmd_curve(args, sf) -> None:
 def _cmd_mc_check(args, sf) -> None:
     scenario = sf.scenario
     alloc = _allocation(args, scenario)
+    if args.seed is not None and args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
     seed = _resolve(args.seed, sf.defaults.seed, DEFAULT_SEED)
     samples = _resolve(args.samples, sf.defaults.samples, DEFAULT_SAMPLES)
     mc = montecarlo.estimate_report(scenario, alloc, samples, seed)

@@ -39,11 +39,20 @@ def _check_samples(samples: int) -> int:
     return int(samples)
 
 
+def _check_seed(seed: int) -> int:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return int(seed)
+
+
 def estimate_expected_min(
     dist: DemandDistribution, v: float, samples: int, seed: int = 42
 ) -> McEstimate:
     """Sample mean of min(draw, v) with its standard error."""
     samples = _check_samples(samples)
+    seed = _check_seed(seed)
     v = float(v)
     if not math.isfinite(v) or v < 0.0:
         raise ValueError(f"resource level must be a finite nonnegative real, got {v!r}")
@@ -51,12 +60,13 @@ def estimate_expected_min(
     total_sq = 0.0
     done = 0
     chunk_index = 0
+    buffer = np.empty(min(CHUNK_SIZE, samples))
     while done < samples:
         count = min(CHUNK_SIZE, samples - done)
         rng = np.random.default_rng(seed + chunk_index)
-        clipped = np.minimum(dist.sample(rng, count), v)
+        clipped = np.minimum(dist.sample(rng, count), v, out=buffer[:count])
         total += float(clipped.sum())
-        total_sq += float((clipped * clipped).sum())
+        total_sq += float(np.multiply(clipped, clipped, out=clipped).sum())
         done += count
         chunk_index += 1
     mean = total / samples
@@ -103,6 +113,7 @@ def estimate_report(
     whole report is reproducible and group estimates stay independent.
     """
     samples = _check_samples(samples)
+    seed = _check_seed(seed)
     check_allocation(scenario, alloc)
     chunks_per_group = -(-samples // CHUNK_SIZE)
     groups = []

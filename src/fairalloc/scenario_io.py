@@ -134,8 +134,8 @@ def _parse_defaults(obj, path: str) -> ScenarioDefaults:
             raise ScenarioError(f"{path}.alpha", f"alpha must be >= 0, got {alpha!r}")
     if "seed" in obj:
         seed = _number(obj, "seed", path)
-        if not isinstance(seed, int):
-            raise ScenarioError(f"{path}.seed", f"seed must be an integer, got {seed!r}")
+        if not isinstance(seed, int) or seed < 0:
+            raise ScenarioError(f"{path}.seed", f"seed must be an integer >= 0, got {seed!r}")
     if "samples" in obj:
         samples = _number(obj, "samples", path)
         if not isinstance(samples, int) or samples < 100:

@@ -1,5 +1,6 @@
 """Hypothesis strategies shared across the test modules."""
 
+import numpy as np
 from hypothesis import strategies as st
 
 from fairalloc.distributions import (
@@ -29,6 +30,33 @@ def empiricals(draw):
     )
     total = sum(weights)
     return Empirical(tuple(values), tuple(w / total for w in weights))
+
+
+@st.composite
+def large_empiricals(draw):
+    """Empirical laws of 1-5,000 atoms, built with numpy from a drawn seed.
+
+    Weights are uniform, equal (for many counts, 10 among them, the merged
+    law's cumsum then ends below 1), log-uniform over 1e-300 to 1, or
+    Dirichlet(0.05), with up to 90% of them set to zero. Atoms are rounded
+    to a drawn number of decimals, so coarse grids repeat values.
+    """
+    n = draw(st.integers(1, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weighting = draw(st.sampled_from(("uniform", "equal", "log_uniform", "dirichlet")))
+    if weighting == "uniform":
+        weights = rng.random(n)
+    elif weighting == "equal":
+        weights = np.ones(n)
+    elif weighting == "log_uniform":
+        weights = 10.0 ** rng.uniform(-300.0, 0.0, n)
+    else:
+        weights = rng.dirichlet(np.full(n, 0.05))
+    weights[rng.random(n) < draw(st.sampled_from((0.0, 0.1, 0.9)))] = 0.0
+    values = np.round(rng.uniform(0.0, 1000.0, n), draw(st.integers(0, 6)))
+    if not np.any(weights[values > 0.0] > 0.0):
+        values[0], weights[0] = 1.0, 1.0
+    return Empirical(tuple(values), tuple(weights / weights.sum()))
 
 
 @st.composite

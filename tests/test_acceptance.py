@@ -17,7 +17,7 @@ import oracles
 from fairalloc import cli
 from fairalloc.allocation import alpha_fair_optimal, max_utilization, mean_weighted, pof
 from fairalloc.certificates import chernoff_delta, exact_lower_deviation, min_parameter_threshold, scenario_certificate
-from fairalloc.distributions import Binomial, Constant, Exponential, Normal, Poisson, TwoPoint
+from fairalloc.distributions import Binomial, Constant, Empirical, Exponential, Normal, Poisson, TwoPoint
 from fairalloc.metrics import Allocation, Group, Scenario, availability, fairness, utilization
 from fairalloc.montecarlo import estimate_expected_min
 
@@ -174,7 +174,9 @@ def test_criterion_06_chernoff_thresholds():
 def test_criterion_07_monte_carlo_oracle():
     problems = []
     start = time.perf_counter()
-    cases = [Binomial(1000, 0.5), Poisson(400.0), Normal(100.0, 10.0)]
+    weights = np.random.default_rng(7).random(4000)
+    large_empirical = Empirical(tuple(0.05 * np.arange(1, 4001)), tuple(weights / weights.sum()))
+    cases = [Binomial(1000, 0.5), Poisson(400.0), Normal(100.0, 10.0), large_empirical]
     for dist in cases:
         mu = dist.mean()
         for scale in (0.5, 0.9, 1.0, 1.1):

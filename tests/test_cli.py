@@ -270,6 +270,13 @@ def test_mc_check_reports_pass_column(capsys, poisson3):
         assert abs(row["z_score"]) <= 4.0
 
 
+def test_mc_check_negative_seed_names_the_flag(capsys, poisson3):
+    code, out, err = run(capsys, "mc-check", "--scenario", poisson3, "--seed", "-5")
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "--seed must be >= 0, got -5" in err
+
+
 def test_reports_are_byte_identical_across_runs(capsys, poisson3):
     _, out1, _ = run(capsys, "mc-check", "--scenario", poisson3, "--samples", "10000")
     _, out2, _ = run(capsys, "mc-check", "--scenario", poisson3, "--samples", "10000")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -18,6 +18,7 @@ from fairalloc.distributions import (
     Poisson,
     TwoPoint,
 )
+from fairalloc.montecarlo import CHUNK_SIZE
 
 ATOMIC = [
     Constant(5.0),
@@ -290,6 +291,53 @@ def test_binomial_sample_mean():
     assert float(draws.mean()) == pytest.approx(5.0, abs=0.01)
 
 
+@given(strategies.large_empiricals())
+@example(Empirical(tuple(range(1, 11)), (0.1,) * 10))
+def test_empirical_draws_equal_generator_choice(dist):
+    for seed, size in enumerate((None, 1, 7, CHUNK_SIZE + 333)):
+        mine, numpy_own = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = dist.sample(mine, size)
+        expected = numpy_own.choice(dist.values, size, p=dist.probabilities)
+        if size is None:
+            assert type(draws) is float and draws == expected
+        else:
+            assert draws.dtype == expected.dtype and np.array_equal(draws, expected)
+        assert mine.bit_generator.state == numpy_own.bit_generator.state
+
+
+class _KnownUniforms:
+    """Stands in for a Generator whose next uniforms are given."""
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+
+    def random(self, size=None):
+        assert size == self.uniforms.size
+        return self.uniforms.copy()
+
+
+@given(strategies.large_empiricals())
+@example(Empirical(tuple(range(1, 11)), (0.1,) * 10))
+@example(Empirical(tuple(range(1, 13)), (1.0 / 12.0,) * 12))
+def test_empirical_draws_next_to_cdf_points_follow_choice_inverse(dist):
+    # Generator.random returns multiples of 2**-53; take those at and next
+    # to every cdf point, where a bucket edge that is not an exact double
+    # would send a draw to the wrong side of the point
+    cdf = np.cumsum(dist.probabilities)
+    cdf /= cdf[-1]
+    grid = np.floor(cdf * 2.0**53)[:, None] + np.arange(-3.0, 4.0)
+    uniforms = grid.ravel() / 2.0**53
+    uniforms = uniforms[(uniforms >= 0.0) & (uniforms < 1.0)]
+    draws = dist.sample(_KnownUniforms(uniforms), uniforms.size)
+    expected = np.asarray(dist.values)[cdf.searchsorted(uniforms, side="right")]
+    assert np.array_equal(draws, expected)
+
+
+def test_example_law_cumsum_ends_below_one():
+    dist = Empirical(tuple(range(1, 11)), (0.1,) * 10)
+    assert float(np.cumsum(dist.probabilities)[-1]) < 1.0
+
+
 @pytest.mark.parametrize("dist", ALL, ids=ids)
 def test_sample_mean_near_analytic_mean(dist):
     draws = dist.sample(np.random.default_rng(2024), 200_000)
@@ -339,6 +387,27 @@ def test_empirical_merges_duplicate_atoms():
     dist = Empirical((2.0, 2.0, 4.0), (0.25, 0.25, 0.5))
     assert dist.values == (2.0, 4.0)
     assert dist.probabilities == (0.5, 0.5)
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from((0.0, 0.5, 2.0, 3.25, 1e6)), st.floats(0.0, 1.0)),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_empirical_merge_sums_repeated_atoms_in_input_order(atoms):
+    weights = np.array([w for _, w in atoms])
+    assume(any(x > 0.0 and w > 0.0 for x, w in atoms))
+    probs = weights / weights.sum()
+    total = float(probs.sum())
+    merged = {}
+    for (x, _), p in zip(atoms, probs.tolist()):
+        merged[x] = merged[x] + p / total if x in merged else p / total
+    dist = Empirical(tuple(x for x, _ in atoms), tuple(probs))
+    assert dist.values == tuple(sorted(merged))
+    assert dist.probabilities == tuple(merged[x] for x in sorted(merged))
+    assert all(type(x) is float for x in dist.values + dist.probabilities)
 
 
 def test_mass_below_zero():

@@ -69,6 +69,16 @@ def test_sample_count_validation():
         estimate_expected_min(Constant(5.0), -1.0, samples=1000)
 
 
+def test_negative_seed_is_rejected_by_name():
+    with pytest.raises(ValueError, match=r"seed must be >= 0, got -3"):
+        estimate_expected_min(Poisson(4.0), 3.0, samples=1000, seed=-3)
+    sc = Scenario(resource=10.0, groups=(Group("a", Poisson(10.0)),))
+    with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+        estimate_report(sc, Allocation((10.0,)), samples=1000, seed=-1)
+    with pytest.raises(ValueError, match=r"seed must be an integer"):
+        estimate_expected_min(Poisson(4.0), 3.0, samples=1000, seed=1.5)
+
+
 def test_report_constant_scenario_is_exact():
     sc = Scenario(resource=20.0, groups=(Group("a", Constant(10.0)), Group("b", Constant(30.0))))
     report = estimate_report(sc, Allocation((5.0, 15.0)), samples=1000, seed=1)

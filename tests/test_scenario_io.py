@@ -161,6 +161,19 @@ def test_defaults_are_parsed_and_validated():
         load_scenario_file(bad)
 
 
+def test_negative_default_seed_names_its_path():
+    text = json.dumps(
+        {
+            "resource": 10,
+            "groups": [{"name": "a", "distribution": {"kind": "poisson", "lambda": 5}}],
+            "defaults": {"seed": -5},
+        }
+    )
+    with pytest.raises(ScenarioError, match=r"seed must be an integer >= 0, got -5") as err:
+        load_scenario_file(text)
+    assert err.value.path == ".defaults.seed"
+
+
 def test_round_trip_preserves_scenario():
     specs = [
         {"kind": "constant", "c": 12.5},
