@@ -28,7 +28,7 @@ from .metrics import Allocation, Scenario
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 V_TOLERANCE = 1e-9  # water-fill stops once the filled levels sum this close to the budget
-BISECTION_STEPS = 60  # halvings per bisection: the bracket shrinks to 2**-60 of its start
+BISECTION_STEPS = 60  # water-fill halvings; Newton steps, then at most as many halvings, per crossing
 
 
 class OptimizerError(RuntimeError):
@@ -82,51 +82,30 @@ def mean_weighted(scenario: Scenario) -> Allocation:
     return Allocation(tuple(r * m / z for m in scenario.means))
 
 
-def _bisect(pred, a, b):
-    """Halve [a, b] around the point where pred switches to true.
-
-    pred must be false left of that point and true right of it, and callers
-    keep pred(a) false and pred(b) true. Stops after BISECTION_STEPS
-    halvings, or sooner once no double lies strictly between a and b: the
-    midpoint then rounds to an end whose pred is already known, so further
-    steps change nothing.
-    Returns the final bracket (a, b).
-    """
-    for _ in range(BISECTION_STEPS):
-        m = 0.5 * (a + b)
-        if m == a or m == b:
-            break
-        if pred(m):
-            b = m
-        else:
-            a = m
-    return a, b
-
-
 def _reached(f, strict):
     """Whether a gap f has reached its crossing: f > 0 if strict, else f >= 0."""
     return f > 0.0 or (f == 0.0 and not strict)
 
 
-def _rtsafe(gap, slope, strict, a, b, x, fx):
-    """Safeguarded Newton steps towards the crossing of an increasing gap through 0.
+def _crossing(gap, slope, strict, a, b, x, fx):
+    """The final bracket (a, b) around the crossing of an increasing gap through 0.
 
     The gap counts as reached where it is > 0 (strict) or >= 0. Callers keep
     it unreached at a and reached at b, and start from x, one of the two,
-    with fx = gap(x). Each step follows the tangent at x, with slope(x) any
-    slope of the gap there; the callers say which side of the crossing it
-    lands on. A step that rounds onto x probes the adjacent double towards
-    the other end instead. A step that leaves the bracket, or that has no
-    finite positive slope, is replaced by a halving of the bracket. Stops
-    after BISECTION_STEPS steps, or once no double lies between the ends,
-    and returns the bracket (a, b) for _bisect to finish, as rtsafe does
+    with fx = gap(x). The first BISECTION_STEPS steps follow the tangent at
+    x, with slope(x) any slope of the gap there; the callers say which side
+    of the crossing it lands on. A step that rounds onto x probes the
+    adjacent double towards the other end instead. A step that leaves the
+    bracket, or that has no finite positive slope, halves the bracket
+    instead, and so does every later step. Stops once no double lies
+    between the ends, or after 2 * BISECTION_STEPS steps, as rtsafe does
     (Press et al., Numerical Recipes, section 9.4).
     """
-    for _ in range(BISECTION_STEPS):
+    for step in range(2 * BISECTION_STEPS):
         m = 0.5 * (a + b)
         if m == a or m == b:
             break
-        d = slope(x)
+        d = slope(x) if step < BISECTION_STEPS else math.nan
         y = x - fx / d if 0.0 < d < math.inf else math.nan
         if y == x:
             y = math.nextafter(x, b if x == a else a)
@@ -169,9 +148,6 @@ class _Curve:
         if idx < 0:
             return 0.0
         return self.ems[idx] + (v - self.xs[idx]) * self.sfs[idx]
-
-    def q(self, v: float) -> float:
-        return self.em(v) / self.mu
 
     def cdf(self, v: float) -> float:
         if self.xs is None:
@@ -228,11 +204,11 @@ class _Curve:
 
         The bracket (a, b) in [0, cap] keeps em(a) < t (em(a) <= t if strict)
         and em(b) >= t (em(b) > t if strict); callers have checked both at
-        v = 0 and v = cap. _rtsafe steps with the exact slope survival(v).
+        v = 0 and v = cap. _crossing steps with the exact slope survival(v).
         E[min(C, v)] is concave, so its tangent lies above it and a step from
         either end lands at or left of the crossing, up to rounding: from a
         the steps climb towards it, and an end that rounding put past it
-        steps back to its left. _bisect finishes the bracket _rtsafe leaves.
+        steps back to its left.
 
         near = (below, above) are this inverse's results at a lower and a
         higher target, or None. Each is checked with one em call before it
@@ -258,8 +234,7 @@ class _Curve:
             f = gap(above)
             if _reached(f, strict):
                 b, x, fx = above, above, f
-        a, b = _rtsafe(gap, self.dist.survival, strict, a, b, x, fx)
-        return _bisect(lambda v: _reached(gap(v), strict), a, b)[0 if strict else 1]
+        return _crossing(gap, self.dist.survival, strict, a, b, x, fx)[0 if strict else 1]
 
     def lowest_v_with_q_at_least(self, target: float, near=(None, None)) -> Optional[float]:
         """Smallest v in [0, cap] with q(v) >= target, or None if unreachable.
@@ -601,11 +576,8 @@ def _feasible_floors(curves, budget, alpha, band_slop):
     # from then on the steps move down onto it from the right. (A high end
     # clipped at the cap holds the whole budget alone, so that kink lies
     # right of the crossing; a step across it that lands left of the
-    # crossing just becomes the bracket's left end.) _rtsafe takes the
-    # steps. The final _bisect runs the halvings of [q0, 1] that bisection
-    # alone would run, evaluating only the midpoints inside the bracket
-    # Newton left, whose side the bracket ends already tell; so the ends
-    # are the ones bisection alone finds.
+    # crossing just becomes the bracket's left end.) _crossing takes the
+    # steps and halves the bracket they leave.
     q0 = min(c.em0 / c.mu for c in curves)
 
     def crossing(gap, slope, strict, end):
@@ -614,10 +586,7 @@ def _feasible_floors(curves, budget, alpha, band_slop):
         f0 = gap(q0)
         if _reached(f0, strict):
             return q0
-        a, b = _rtsafe(gap, slope, strict, q0, 1.0, q0, f0)
-        return _bisect(
-            lambda ell: ell >= b or (ell > a and _reached(gap(ell), strict)), q0, 1.0
-        )[end]
+        return _crossing(gap, slope, strict, q0, 1.0, q0, f0)[end]
 
     ell_max = crossing(lo_gap, lo_slope, True, 0)
     ell_min = crossing(hi_gap, hi_slope, False, 1)

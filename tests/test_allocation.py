@@ -538,6 +538,29 @@ def test_scaled_exponential_max_utilization_is_zero_fair(means, ratio):
 
 # ---------------------------------------------------------------- box inverses and water-fill stop
 
+@pytest.mark.parametrize("slope", [1e6, 0.0, math.inf, math.nan, 1.0])
+@pytest.mark.parametrize("strict", [False, True])
+def test_crossing_ends_on_adjacent_doubles(slope, strict):
+    # Slope 1e6 makes the Newton steps crawl, so the halvings after them must
+    # finish; 0, inf and nan give no usable slope; slope 1 is the exact one.
+    calls = []
+
+    def gap(v):
+        calls.append(v)
+        return v - 0.3
+
+    found = allocation_module._crossing(gap, lambda v: slope, strict, 0.0, 1.0, 0.0, -0.3)
+    if strict:
+        assert found == (0.3, math.nextafter(0.3, 1.0))
+    else:
+        assert found == (math.nextafter(0.3, 0.0), 0.3)
+    assert len(calls) <= 2 * allocation_module.BISECTION_STEPS
+    if slope == 1e6:
+        assert len(calls) > allocation_module.BISECTION_STEPS
+    if slope == 1.0:
+        assert len(calls) == 2
+
+
 @given(
     dist=st.one_of(strategies.heavy_normals(), strategies.continuous_distributions),
     cap_ratio=st.floats(0.5, 40.0),
