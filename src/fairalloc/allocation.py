@@ -16,7 +16,6 @@ bracket towards its lower end.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -122,59 +121,23 @@ def _crossing(gap, slope, strict, a, b, x, fx):
 class _Curve:
     """Fast exact evaluator of one group's E[min(C, v)] on [0, cap].
 
-    Atom-supported variants provide piecewise-linear knots; lookups and box
-    inverses then reduce to bisect + one linear step. Smooth variants use
-    their closed forms, and their box inverses take safeguarded Newton steps
-    on E[min(C, v)], whose slope survival(v) is exact (see _newton).
+    Subclasses give em, cdf, sf (the survival right of v), quantile and the
+    box inverses' searches _lowest and _highest; _curve picks the subclass.
+    The inverses take near on smooth laws (see _newton); knots ignore it.
     """
 
     def __init__(self, dist: DemandDistribution, cap: float):
         self.dist = dist
         self.cap = float(cap)
         self.mu = dist.mean()
-        table = dist.expected_min_knots(self.cap)
-        if table is None:
-            self.xs = None
-        else:
-            self.xs, self.cdfs, self.sfs, self.ems = table
         # negative for a normal model with mass below zero
         self.em0 = self.em(0.0)
         self.em_cap = self.em(self.cap)
 
-    def em(self, v: float) -> float:
-        if self.xs is None:
-            return self.dist._expected_min(v)
-        idx = bisect.bisect_right(self.xs, v) - 1
-        if idx < 0:
-            return 0.0
-        return self.ems[idx] + (v - self.xs[idx]) * self.sfs[idx]
-
-    def cdf(self, v: float) -> float:
-        if self.xs is None:
-            return self.dist.cdf(v)
-        idx = bisect.bisect_right(self.xs, v) - 1
-        if idx < 0:
-            return 0.0
-        return self.cdfs[idx]
-
     def inverse_slope(self, v: float) -> float:
-        """Slope dv/dq of the box inverses at v: mu over the survival right of v.
-
-        On knots the survival is that of v's segment; inf where it is 0.
-        """
-        if self.xs is None:
-            sf = self.dist.survival(v)
-        else:
-            sf = self.sfs[bisect.bisect_right(self.xs, v) - 1]
+        """Slope dv/dq of the box inverses at v: mu over sf(v), inf where that is 0."""
+        sf = self.sf(v)
         return self.mu / sf if sf > 0.0 else math.inf
-
-    def _quantile(self, s: float) -> float:
-        if self.xs is None:
-            return self.dist.quantile(s)
-        idx = bisect.bisect_left(self.cdfs, s)
-        if idx >= len(self.xs):
-            return self.cap
-        return self.xs[idx]
 
     def box_fill(self, lo: float, hi: float):
         """The water level at cdf-level s, clipped into [lo, hi], as a function of s.
@@ -184,7 +147,7 @@ class _Curve:
         keeps deep lower-tail levels representable (1 - s underflows to 1 there).
         """
         cdf_lo, cdf_hi = self.cdf(lo), self.cdf(hi)
-        quantile = self._quantile
+        quantile = self.quantile
 
         def fill(s: float) -> float:
             if s <= 0.0:
@@ -198,6 +161,86 @@ class _Curve:
             return min(hi, max(lo, quantile(s)))
 
         return fill
+
+    def lowest_v_with_q_at_least(self, target: float, near=(None, None)) -> Optional[float]:
+        """Smallest v in [0, cap] with q(v) >= target, or None if unreachable."""
+        t = target * self.mu
+        return 0.0 if self.em0 >= t else self._lowest(t, near)
+
+    def highest_v_with_q_at_most(self, target: float, near=(None, None)) -> Optional[float]:
+        """Largest v in [0, cap] with q(v) <= target, or None if q(0) > target."""
+        t = target * self.mu
+        if self.em0 > t:
+            return None
+        if self.em_cap <= t:
+            return self.cap
+        return self._highest(t, near)
+
+
+class _KnotCurve(_Curve):
+    """An atom law's curve from its knot table: every lookup and box inverse is
+    a bisect plus one linear step. The table stays in Python lists, on which a
+    scalar bisect is several times faster than on a numpy array.
+    """
+
+    def __init__(self, dist: DemandDistribution, cap: float, table):
+        self.xs, self.cdfs, self.sfs, self.ems = table
+        super().__init__(dist, cap)
+
+    def em(self, v: float) -> float:
+        idx = bisect.bisect_right(self.xs, v) - 1
+        return 0.0 if idx < 0 else self.ems[idx] + (v - self.xs[idx]) * self.sfs[idx]
+
+    def cdf(self, v: float) -> float:
+        idx = bisect.bisect_right(self.xs, v) - 1
+        return 0.0 if idx < 0 else self.cdfs[idx]
+
+    def sf(self, v: float) -> float:
+        return self.sfs[bisect.bisect_right(self.xs, v) - 1]
+
+    def quantile(self, s: float) -> float:
+        idx = bisect.bisect_left(self.cdfs, s)
+        return self.xs[idx] if idx < len(self.xs) else self.cap
+
+    def _lowest(self, t: float, near) -> Optional[float]:
+        ems = self.ems
+        idx = bisect.bisect_left(ems, t)  # >= 1, since ems[0] = em0 < t
+        if idx >= len(ems):
+            sf = self.sfs[-1]
+            if sf <= 0.0:
+                return None
+            v = self.xs[-1] + (t - ems[-1]) / sf
+        else:
+            sf = self.sfs[idx - 1]
+            if sf <= 0.0:
+                return self.xs[idx]
+            # clamp into the segment: a denormal slope makes the division
+            # overshoot even though the right knot already satisfies em >= t
+            v = min(self.xs[idx - 1] + (t - ems[idx - 1]) / sf, self.xs[idx])
+        if v > self.cap:
+            if self.em_cap >= t - 1e-12 * max(1.0, t):
+                return self.cap
+            return None
+        return v
+
+    def _highest(self, t: float, near) -> float:
+        idx = bisect.bisect_right(self.ems, t) - 1  # >= 0, since ems[0] = em0 <= t
+        sf = self.sfs[idx]
+        if sf <= 0.0:
+            return self.cap
+        v = self.xs[idx] + (t - self.ems[idx]) / sf
+        if idx + 1 < len(self.xs):
+            v = min(v, self.xs[idx + 1])  # same denormal-slope overshoot guard
+        return min(self.cap, v)
+
+
+class _SmoothCurve(_Curve):
+    """A smooth law's curve from its closed forms, with Newton box inverses."""
+
+    def __init__(self, dist: DemandDistribution, cap: float):
+        self.em, self.cdf, self.sf = dist._expected_min, dist.cdf, dist.survival
+        self.quantile = dist.quantile
+        super().__init__(dist, cap)
 
     def _newton(self, t: float, strict: bool, near) -> float:
         """The crossing of em(v) = t on a smooth law: the b end below, the a end if strict.
@@ -236,58 +279,17 @@ class _Curve:
                 b, x, fx = above, above, f
         return _crossing(gap, self.dist.survival, strict, a, b, x, fx)[0 if strict else 1]
 
-    def lowest_v_with_q_at_least(self, target: float, near=(None, None)) -> Optional[float]:
-        """Smallest v in [0, cap] with q(v) >= target, or None if unreachable.
+    def _lowest(self, t: float, near) -> Optional[float]:
+        return None if self.em_cap < t else self._newton(t, False, near)
 
-        near is passed to _newton on smooth laws (see there); knots ignore it.
-        """
-        t = target * self.mu
-        if self.em0 >= t:
-            return 0.0
-        if self.xs is None:
-            if self.em_cap < t:
-                return None
-            return self._newton(t, False, near)
-        ems = self.ems
-        idx = bisect.bisect_left(ems, t)  # >= 1, since ems[0] = em0 < t
-        if idx >= len(ems):
-            sf = self.sfs[-1]
-            if sf <= 0.0:
-                return None
-            v = self.xs[-1] + (t - ems[-1]) / sf
-        else:
-            sf = self.sfs[idx - 1]
-            if sf <= 0.0:
-                return self.xs[idx]
-            # clamp into the segment: a denormal slope makes the division
-            # overshoot even though the right knot already satisfies em >= t
-            v = min(self.xs[idx - 1] + (t - ems[idx - 1]) / sf, self.xs[idx])
-        if v > self.cap:
-            if self.em_cap >= t - 1e-12 * max(1.0, t):
-                return self.cap
-            return None
-        return v
+    def _highest(self, t: float, near) -> float:
+        return self._newton(t, True, near)
 
-    def highest_v_with_q_at_most(self, target: float, near=(None, None)) -> Optional[float]:
-        """Largest v in [0, cap] with q(v) <= target, or None if q(0) > target.
 
-        near is passed to _newton on smooth laws (see there); knots ignore it.
-        """
-        t = target * self.mu
-        if self.em0 > t:
-            return None
-        if self.em_cap <= t:
-            return self.cap
-        if self.xs is None:
-            return self._newton(t, True, near)
-        idx = bisect.bisect_right(self.ems, t) - 1  # >= 0, since ems[0] = em0 <= t
-        sf = self.sfs[idx]
-        if sf <= 0.0:
-            return self.cap
-        v = self.xs[idx] + (t - self.ems[idx]) / sf
-        if idx + 1 < len(self.xs):
-            v = min(v, self.xs[idx + 1])  # same denormal-slope overshoot guard
-        return min(self.cap, v)
+def _curve(dist: DemandDistribution, cap: float) -> _Curve:
+    """One group's curve on [0, cap]: knots where the law has a table, else smooth."""
+    table = dist.expected_min_knots(float(cap))
+    return _SmoothCurve(dist, cap) if table is None else _KnotCurve(dist, cap, table)
 
 
 def _one_level_at_most(levels, a, b):
@@ -338,7 +340,7 @@ def _water_fill(curves, budget, lo, hi, known=(0.0, 1.0)):
             f"sum hi {sum_hi!r}, budget {budget!r}"
         )
     fills = [c.box_fill(a, b) for c, a, b in zip(curves, lo, hi)]
-    levels = [c.cdfs for c in curves] if all(c.xs is not None for c in curves) else None
+    levels = [c.cdfs for c in curves] if all(isinstance(c, _KnotCurve) for c in curves) else None
     known_lo, known_hi = known
     s_lo, s_hi = 0.0, 1.0
     # the fills at s_lo and s_hi, or None when that end's branch was known
@@ -420,7 +422,7 @@ def _prologue(scenario: Scenario):
         excess = budget - sum(sups)
         z = scenario.total_mean
         return Allocation(tuple(s + excess * m / z for s, m in zip(sups, scenario.means))), None
-    return None, [_Curve(g.dist, budget) for g in scenario.groups]
+    return None, [_curve(g.dist, budget) for g in scenario.groups]
 
 
 def _max_fill(curves, budget) -> Allocation:
@@ -494,26 +496,20 @@ def _box_ends(curves, budget, alpha, band_slop):
     computed once, and callers must not change the lists. Every end is
     nondecreasing in ell, so a smooth law's inverse at a new floor starts
     from its ends at the nearest floors already computed on either side.
-    Without smooth laws no inverse takes them, and they are not looked up.
     """
     n = len(curves)
-    smooth = any(c.xs is None for c in curves)
 
     def memoised(ends_at):
-        ends, floors = {}, []  # floors: the keys of ends, sorted, if smooth
+        ends, floors = {}, []  # floors: the keys of ends, sorted
 
         def at(ell):
             e = ends.get(ell)
             if e is None:
-                if smooth:
-                    i = bisect.bisect_left(floors, ell)
-                    below = ends[floors[i - 1]] if i > 0 else (None,) * n
-                    above = ends[floors[i]] if i < len(floors) else (None,) * n
-                    floors.insert(i, ell)
-                    near = zip(below, above)
-                else:
-                    near = itertools.repeat((None, None))
-                e = ends[ell] = ends_at(ell, near)
+                i = bisect.bisect_left(floors, ell)
+                below = ends[floors[i - 1]] if i > 0 else (None,) * n
+                above = ends[floors[i]] if i < len(floors) else (None,) * n
+                floors.insert(i, ell)
+                e = ends[ell] = ends_at(ell, zip(below, above))
             return e
 
         return at

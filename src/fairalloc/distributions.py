@@ -336,7 +336,7 @@ class Poisson(DemandDistribution):
         guess = pdtrik(p, self.lam)
         if not math.isfinite(guess):
             guess = self.lam
-        upper = int(self.lam + 40.0 * math.sqrt(self.lam) + 40.0)
+        upper = self._tail_guess()
         while pdtr(upper, self.lam) < p:
             upper *= 2
         return _smallest_point_with_cdf_at_least(
@@ -356,14 +356,25 @@ class Poisson(DemandDistribution):
     def support_max(self) -> float:
         return math.inf
 
+    def _tail_guess(self) -> int:
+        """An integer in the law's far upper tail, where searches start."""
+        return int(self.lam + 40.0 * math.sqrt(self.lam) + 40.0)
+
     def expected_min_knots(self, cap):
-        top = math.ceil(cap)
+        # ends at the cap or at the first zero survival, past which it is flat
+        end = self._tail_guess()
+        while end < cap and pdtrc(end, self.lam) > 0.0:
+            end *= 2
+        top = min(math.ceil(cap), end)
         if top > 1 << 20:
             return None
         ks = np.arange(top + 1, dtype=float)
-        cdfs = pdtr(ks, self.lam)
         sfs = pdtrc(ks, self.lam)
-        below = np.zeros(top + 1)
+        zeros = np.flatnonzero(sfs == 0.0)
+        if zeros.size:
+            ks, sfs = ks[: zeros[0] + 1], sfs[: zeros[0] + 1]
+        cdfs = pdtr(ks, self.lam)
+        below = np.zeros(ks.size)
         below[1:] = cdfs[:-1]
         ems = self.lam * below + ks * sfs
         return (ks.tolist(), cdfs.tolist(), sfs.tolist(), ems.tolist())
@@ -566,9 +577,11 @@ class Empirical(DemandDistribution):
         return float(self._vals[-1])
 
     def expected_min_knots(self, cap):
-        xs = [0.0] + [x for x in self.values if 0.0 < x <= cap]
-        cdfs = [self.cdf(x) for x in xs]
-        sfs = [self.survival(x) for x in xs]
+        lo = int(self._vals[0] == 0.0)  # an atom at 0 is the knot at 0
+        hi = int(np.searchsorted(self._vals, cap, side="right"))
+        xs = [0.0] + list(self.values[lo:hi])
+        cdfs = ([] if lo else [0.0]) + self._cum[:hi].tolist()
+        sfs = self._suffix[lo:hi + 1].tolist()
         ems = [self._expected_min(x) for x in xs]
         return (xs, cdfs, sfs, ems)
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import pdtr, pdtrc
 
 
 def binomial_pmf_fractions(n, p_frac):
@@ -54,6 +55,22 @@ def discrete_atoms(dist):
         top = int(dist.lam + 12.0 * math.sqrt(dist.lam) + 30.0)
         return np.arange(top + 1, dtype=float), poisson_pmf_array(dist.lam, top)
     raise ValueError(f"{kind} is not atom-supported")
+
+
+def poisson_knots_to_cap(lam, cap):
+    """Poisson knot table at every integer up to ceil(cap), the way it was
+    tabulated before tables ended at the law's tail.
+
+    The same elementwise scipy calls as the library, so a table that ends at
+    the tail must be an exact prefix of this one.
+    """
+    ks = np.arange(math.ceil(cap) + 1, dtype=float)
+    cdfs = pdtr(ks, lam)
+    sfs = pdtrc(ks, lam)
+    below = np.zeros(ks.size)
+    below[1:] = cdfs[:-1]
+    ems = lam * below + ks * sfs
+    return ks.tolist(), cdfs.tolist(), sfs.tolist(), ems.tolist()
 
 
 def expected_min_brute(values, probs, v):

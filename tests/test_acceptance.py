@@ -305,3 +305,19 @@ def test_criterion_11_curve_emission(tmp_path, capsys):
         if series["gauss"][-1] < 0.999:
             problems.append(f"normal curve ends at {series['gauss'][-1]!r} < 0.999")
     _criterion(11, "availability curves are monotone and saturate", problems)
+
+
+def test_criterion_12_large_poisson_pof():
+    # 300 groups at the north star's scale: Poisson knot tables end at the
+    # law's tail, not at the budget (each used to hold about 56k knots here)
+    problems = []
+    lams = np.random.default_rng(0).uniform(20.0, 400.0, 300)
+    sc = scenario(0.9 * float(lams.sum()), *(Poisson(float(lam)) for lam in lams))
+    start = time.perf_counter()
+    result = pof(sc, 0.05)
+    elapsed = time.perf_counter() - start
+    if not 1.0 <= result.pof < math.inf:
+        problems.append(f"pof {result.pof!r} outside [1, inf)")
+    if elapsed >= 2.0:
+        problems.append(f"runtime {elapsed:.3f}s >= 2s")
+    _criterion(12, f"300-group Poisson pof ({elapsed:.2f} s)", problems)

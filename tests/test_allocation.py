@@ -569,7 +569,7 @@ def test_crossing_ends_on_adjacent_doubles(slope, strict):
 )
 @settings(max_examples=150)
 def test_smooth_box_inverses_match_reference_bisection(dist, cap_ratio, share, tail):
-    curve = allocation_module._Curve(dist, cap_ratio * dist.mean())
+    curve = allocation_module._curve(dist, cap_ratio * dist.mean())
     q0 = curve.em0 / curve.mu
     target = 1.0 - tail if tail is not None else q0 + (1.0 - q0) * share
     t = target * curve.mu
@@ -602,7 +602,7 @@ def test_warm_box_inverses_match_cold(dist, cap_ratio, shares, keep_below):
     # returns what it returns from [0, cap], up to the flat-curve clause of
     # the reference-bisection test above, and evaluates em only on the
     # inherited end's side of the crossing.
-    curve = allocation_module._Curve(dist, cap_ratio * dist.mean())
+    curve = allocation_module._curve(dist, cap_ratio * dist.mean())
     q0 = curve.em0 / curve.mu
     low, mid, high = sorted(q0 + (1.0 - q0) * share for share in shares)
     t = mid * curve.mu
@@ -666,7 +666,7 @@ FLOOR_INTERVAL_CASES = [
 @pytest.mark.parametrize("band_slop", [0.0, 1e-9])
 @pytest.mark.parametrize("sc, alpha", FLOOR_INTERVAL_CASES)
 def test_floor_interval_matches_per_group_bisection_on_cases(sc, alpha, band_slop):
-    curves = [allocation_module._Curve(g.dist, sc.resource) for g in sc.groups]
+    curves = [allocation_module._curve(g.dist, sc.resource) for g in sc.groups]
     assert_floor_interval_matches_bisection(curves, sc.resource, alpha, band_slop)
 
 
@@ -678,7 +678,7 @@ def test_floor_interval_matches_per_group_bisection_on_cases(sc, alpha, band_slo
 @settings(max_examples=150)
 def test_floor_interval_matches_per_group_bisection(dists, ratio, alpha, band_slop):
     budget = ratio * sum(d.mean() for d in dists)
-    curves = [allocation_module._Curve(d, budget) for d in dists]
+    curves = [allocation_module._curve(d, budget) for d in dists]
     assert_floor_interval_matches_bisection(curves, budget, alpha, band_slop)
 
 
@@ -696,7 +696,7 @@ def test_knot_water_fill_stop_matches_full_loop(dists, repeat, cap, ends, where,
     # a constant past the cap give one group a repeated level
     if repeat:
         dists = dists + dists[:1]
-    curves = [allocation_module._Curve(d, cap) for d in dists]
+    curves = [allocation_module._curve(d, cap) for d in dists]
     lo, hi = [], []
     for c, (x, y) in zip(curves, ends):
         top = min(cap, c.dist.support_max())
@@ -712,3 +712,16 @@ def test_knot_water_fill_stop_matches_full_loop(dists, repeat, cap, ends, where,
         curves, budget, lo, hi, allocation_module.BISECTION_STEPS, allocation_module.V_TOLERANCE
     )
     assert allocation_module._water_fill(curves, budget, lo, hi)[0] == expected
+
+
+def test_huge_poisson_budgets_take_knot_curves_with_the_same_allocation():
+    # At R = 5e7 a table up to the budget passed 2**20 knots, so Poisson(5)
+    # took the smooth path; its table now ends at the tail and gives knots.
+    sc = scenario(5e7, Poisson(5.0), Poisson(2e7))
+    curves = allocation_module._prologue(sc)[1]
+    assert [type(c) for c in curves] == [allocation_module._KnotCurve, allocation_module._SmoothCurve]
+    smooth = [allocation_module._SmoothCurve(g.dist, sc.resource) for g in sc.groups]
+    assert (allocation_module._max_fill(curves, sc.resource)
+            == allocation_module._max_fill(smooth, sc.resource))
+    assert (allocation_module._alpha_fair(sc, 0.05, curves)
+            == allocation_module._alpha_fair(sc, 0.05, smooth))

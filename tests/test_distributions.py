@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -260,9 +260,55 @@ def test_smooth_distributions_have_no_knots():
     assert Exponential(10.0).expected_min_knots(50.0) is None
 
 
-def test_huge_budgets_skip_knot_tables():
-    assert Poisson(5.0).expected_min_knots(5e7) is None
+def test_huge_budgets_get_tail_sized_knot_tables():
+    table = Poisson(5.0).expected_min_knots(5e7)
+    assert table is not None and len(table[0]) < 1_000  # ends at the tail, not the budget
+    assert Poisson(2e6).expected_min_knots(5e7) is None  # the tail alone passes 2**20 knots
     assert Binomial(10, 0.5).expected_min_knots(5e7) is not None  # support caps the table
+
+
+@given(lam=st.floats(1e-3, 2_000.0), cap=st.floats(0.0, 20_000.0))
+@example(lam=5.0, cap=20_000.0)
+@example(lam=400.0, cap=1_366.0)
+@settings(max_examples=150)
+def test_poisson_knot_tables_end_at_the_tail(lam, cap):
+    table = Poisson(lam).expected_min_knots(cap)
+    full = oracles.poisson_knots_to_cap(lam, cap)
+    n = len(table[0])
+    assert table == tuple(column[:n] for column in full)
+    if n < len(full[0]):
+        # cut at the first zero survival: past it the budget-length table is flat
+        _, cdfs, sfs, ems = full
+        assert sfs[n - 2] > 0.0
+        assert set(cdfs[n - 1:]) == {1.0}
+        assert set(sfs[n - 1:]) == {0.0}
+        assert set(ems[n - 1:]) == {ems[n - 1]}
+        assert Poisson(lam).expected_min_knots(1e12) == table
+    assert n <= 4.0 * (lam + 40.0 * math.sqrt(lam) + 40.0) + 1.0
+
+
+@given(dist=strategies.large_empiricals(),
+       where=st.sampled_from(("below", "on", "between", "past")),
+       pick=st.floats(0.0, 1.0))
+@example(dist=Empirical((0.0, 2.0, 5.0), (0.2, 0.3, 0.5)), where="below", pick=0.0)
+@example(dist=Empirical((0.0, 2.0, 5.0), (0.2, 0.3, 0.5)), where="on", pick=0.0)
+@example(dist=Empirical((0.0, 2.0, 5.0), (0.2, 0.3, 0.5)), where="between", pick=0.0)
+@example(dist=Empirical((0.0, 2.0, 5.0), (0.2, 0.3, 0.5)), where="past", pick=0.0)
+@example(dist=Empirical((1.0, 2.0), (0.5, 0.5)), where="below", pick=0.0)
+@settings(max_examples=100)
+def test_empirical_knot_tables_equal_per_atom_lookups(dist, where, pick):
+    values = dist.values
+    i = int(pick * (len(values) - 1))
+    cap = {
+        "below": values[0] / 2.0,
+        "on": values[i],
+        "between": (values[i] + values[i + 1]) / 2.0 if i + 1 < len(values) else values[i] + 1.0,
+        "past": 2.0 * values[-1] + 1.0,
+    }[where]
+    xs = [0.0] + [x for x in values if 0.0 < x <= cap]
+    expected = (xs, [dist.cdf(x) for x in xs], [dist.survival(x) for x in xs],
+                [dist._expected_min(x) for x in xs])
+    assert dist.expected_min_knots(cap) == expected
 
 
 # ---------------------------------------------------------------- sampling
