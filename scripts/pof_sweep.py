@@ -4,12 +4,15 @@
 For a scenario file, rescales the budget across a grid of R/Z ratios and
 measures PoF at each alpha, alongside the certificate-implied bounds. The
 output CSV has one row per (ratio, alpha) pair and is plot-ready.
+
+Exits 0 on success, 1 on invalid input or an infeasible cell, and 2 when
+an optimizer fails to converge, as the fairalloc CLI does.
 """
 
 import argparse
 import sys
 
-from fairalloc import Scenario, pof, scenario_certificate
+from fairalloc import InfeasibleError, OptimizerError, Scenario, pof, scenario_certificate
 from fairalloc.scenario_io import load_scenario_path, rows_to_csv
 
 COLUMNS = [
@@ -33,7 +36,18 @@ def main():
     )
     parser.add_argument("--output", default=None, help="CSV path (default stdout)")
     args = parser.parse_args()
+    try:
+        sweep(args)
+    except (ValueError, OSError, InfeasibleError) as exc:
+        print(f"pof_sweep: {exc}", file=sys.stderr)
+        return 1
+    except OptimizerError as exc:
+        print(f"pof_sweep: optimizer error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
+
+def sweep(args):
     base = load_scenario_path(args.scenario).scenario
     total = base.total_mean
     ratios = [float(x) for x in args.ratios.split(",")]
@@ -71,4 +85,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -16,6 +16,7 @@ bracket towards its lower end.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -123,7 +124,6 @@ class _Curve:
 
     Subclasses give em, cdf, sf (the survival right of v), quantile and the
     box inverses' searches _lowest and _highest; _curve picks the subclass.
-    The inverses take near on smooth laws (see _newton); knots ignore it.
     """
 
     def __init__(self, dist: DemandDistribution, cap: float):
@@ -162,19 +162,19 @@ class _Curve:
 
         return fill
 
-    def lowest_v_with_q_at_least(self, target: float, near=(None, None)) -> Optional[float]:
+    def lowest_v_with_q_at_least(self, target: float) -> Optional[float]:
         """Smallest v in [0, cap] with q(v) >= target, or None if unreachable."""
         t = target * self.mu
-        return 0.0 if self.em0 >= t else self._lowest(t, near)
+        return 0.0 if self.em0 >= t else self._lowest(t)
 
-    def highest_v_with_q_at_most(self, target: float, near=(None, None)) -> Optional[float]:
+    def highest_v_with_q_at_most(self, target: float) -> Optional[float]:
         """Largest v in [0, cap] with q(v) <= target, or None if q(0) > target."""
         t = target * self.mu
         if self.em0 > t:
             return None
         if self.em_cap <= t:
             return self.cap
-        return self._highest(t, near)
+        return self._highest(t)
 
 
 class _KnotCurve(_Curve):
@@ -202,7 +202,7 @@ class _KnotCurve(_Curve):
         idx = bisect.bisect_left(self.cdfs, s)
         return self.xs[idx] if idx < len(self.xs) else self.cap
 
-    def _lowest(self, t: float, near) -> Optional[float]:
+    def _lowest(self, t: float) -> Optional[float]:
         ems = self.ems
         idx = bisect.bisect_left(ems, t)  # >= 1, since ems[0] = em0 < t
         if idx >= len(ems):
@@ -223,7 +223,7 @@ class _KnotCurve(_Curve):
             return None
         return v
 
-    def _highest(self, t: float, near) -> float:
+    def _highest(self, t: float) -> float:
         idx = bisect.bisect_right(self.ems, t) - 1  # >= 0, since ems[0] = em0 <= t
         sf = self.sfs[idx]
         if sf <= 0.0:
@@ -240,9 +240,10 @@ class _SmoothCurve(_Curve):
     def __init__(self, dist: DemandDistribution, cap: float):
         self.em, self.cdf, self.sf = dist._expected_min, dist.cdf, dist.survival
         self.quantile = dist.quantile
+        self._last = [0.0, 0.0]  # the last low (index 0) and high (index 1) crossing
         super().__init__(dist, cap)
 
-    def _newton(self, t: float, strict: bool, near) -> float:
+    def _newton(self, t: float, strict: bool) -> float:
         """The crossing of em(v) = t on a smooth law: the b end below, the a end if strict.
 
         The bracket (a, b) in [0, cap] keeps em(a) < t (em(a) <= t if strict)
@@ -253,13 +254,11 @@ class _SmoothCurve(_Curve):
         the steps climb towards it, and an end that rounding put past it
         steps back to its left.
 
-        near = (below, above) are this inverse's results at a lower and a
-        higher target, or None. Each is checked with one em call before it
-        is used, and dropped if it fails: below replaces 0 as the left end
-        and the start when it lies left of the crossing. Steps from there
-        never pass the crossing, so above is checked only when below is not
-        used, and then replaces cap as the right end and the start when it
-        lies right of the crossing.
+        The search starts from the crossing this curve last returned for
+        the same strict, checked with one em call: it replaces 0 as the left
+        end when the gap there is unreached, and cap as the right end when
+        it is reached. The floor search moves its targets in small steps,
+        so that point usually lies close to the new crossing.
         """
         em = self.dist._expected_min
 
@@ -268,22 +267,22 @@ class _SmoothCurve(_Curve):
 
         a, b = 0.0, self.cap
         x, fx = a, self.em0 - t
-        below, above = near
-        if below is not None and a < below < b:
-            f = gap(below)
-            if not _reached(f, strict):
-                a, x, fx = below, below, f
-        if a == 0.0 and above is not None and a < above < b:
-            f = gap(above)
+        last = self._last[strict]
+        if a < last < b:
+            f = gap(last)
             if _reached(f, strict):
-                b, x, fx = above, above, f
-        return _crossing(gap, self.dist.survival, strict, a, b, x, fx)[0 if strict else 1]
+                b, x, fx = last, last, f
+            else:
+                a, x, fx = last, last, f
+        v = _crossing(gap, self.dist.survival, strict, a, b, x, fx)[0 if strict else 1]
+        self._last[strict] = v
+        return v
 
-    def _lowest(self, t: float, near) -> Optional[float]:
-        return None if self.em_cap < t else self._newton(t, False, near)
+    def _lowest(self, t: float) -> Optional[float]:
+        return None if self.em_cap < t else self._newton(t, False)
 
-    def _highest(self, t: float, near) -> float:
-        return self._newton(t, True, near)
+    def _highest(self, t: float) -> float:
+        return self._newton(t, True)
 
 
 def _curve(dist: DemandDistribution, cap: float) -> _Curve:
@@ -493,38 +492,23 @@ def _box_ends(curves, budget, alpha, band_slop):
     lows(ell) are the least v reaching q = ell and highs(ell) the most v
     keeping q <= ell + alpha (no top once the band reaches 1); None marks a
     group that cannot meet its end of the band. Each floor's ends are
-    computed once, and callers must not change the lists. Every end is
-    nondecreasing in ell, so a smooth law's inverse at a new floor starts
-    from its ends at the nearest floors already computed on either side.
+    computed once, and callers must not change the lists.
     """
     n = len(curves)
 
-    def memoised(ends_at):
-        ends, floors = {}, []  # floors: the keys of ends, sorted
-
-        def at(ell):
-            e = ends.get(ell)
-            if e is None:
-                i = bisect.bisect_left(floors, ell)
-                below = ends[floors[i - 1]] if i > 0 else (None,) * n
-                above = ends[floors[i]] if i < len(floors) else (None,) * n
-                floors.insert(i, ell)
-                e = ends[ell] = ends_at(ell, zip(below, above))
-            return e
-
-        return at
-
-    def lows(ell, near):
+    @functools.cache
+    def lows(ell):
         target = ell - band_slop
-        return [c.lowest_v_with_q_at_least(target, ab) for c, ab in zip(curves, near)]
+        return [c.lowest_v_with_q_at_least(target) for c in curves]
 
-    def highs(ell, near):
+    @functools.cache
+    def highs(ell):
         band_top = ell + alpha + band_slop
         if band_top >= 1.0:
             return [budget] * n
-        return [c.highest_v_with_q_at_most(band_top, ab) for c, ab in zip(curves, near)]
+        return [c.highest_v_with_q_at_most(band_top) for c in curves]
 
-    return memoised(lows), memoised(highs)
+    return lows, highs
 
 
 def _feasible_floors(curves, budget, alpha, band_slop):
@@ -625,7 +609,7 @@ def _floor_sweep(curves, budget, alpha, band_slop):
     # the budget sums above it at ell, and one where a floor right of ell
     # summed below sums below at ell: ell's fill inherits the s_hi of its left
     # neighbour and the s_lo of its right one. The neighbours are compared as
-    # doubles, since near the stop rounding can put a new point outside them,
+    # doubles, since close to the stop rounding can put a new point outside them,
     # and an inherited bracket that is empty (possible only where rounding
     # breaks the monotonicity) is dropped.
     def score(ell, left=None, right=None):

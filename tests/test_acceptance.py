@@ -8,6 +8,10 @@ library cold-start from the first timed criterion.
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -307,12 +311,17 @@ def test_criterion_11_curve_emission(tmp_path, capsys):
     _criterion(11, "availability curves are monotone and saturate", problems)
 
 
-def test_criterion_12_large_poisson_pof():
-    # 300 groups at the north star's scale: Poisson knot tables end at the
-    # law's tail, not at the budget (each used to hold about 56k knots here)
-    problems = []
+def large_poisson_scenario():
+    """300 groups at the north star's scale: Poisson(U(20, 400)), seed 0, R/Z 0.9."""
     lams = np.random.default_rng(0).uniform(20.0, 400.0, 300)
-    sc = scenario(0.9 * float(lams.sum()), *(Poisson(float(lam)) for lam in lams))
+    return scenario(0.9 * float(lams.sum()), *(Poisson(float(lam)) for lam in lams))
+
+
+def test_criterion_12_large_poisson_pof():
+    # Poisson knot tables end at the law's tail, not at the budget (each
+    # used to hold about 56k knots here)
+    problems = []
+    sc = large_poisson_scenario()
     start = time.perf_counter()
     result = pof(sc, 0.05)
     elapsed = time.perf_counter() - start
@@ -321,3 +330,18 @@ def test_criterion_12_large_poisson_pof():
     if elapsed >= 2.0:
         problems.append(f"runtime {elapsed:.3f}s >= 2s")
     _criterion(12, f"300-group Poisson pof ({elapsed:.2f} s)", problems)
+
+
+def test_criterion_12_large_poisson_pof_peak_rss():
+    # Peak RSS is per process, so the solve runs in a fresh interpreter; it
+    # peaked at 2.85 GB when the knot tables ran up to the budget
+    here = pathlib.Path(__file__).parent
+    code = ("import resource, test_acceptance as t; t.pof(t.large_poisson_scenario(), 0.05); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    peak_mb = int(done.stdout) / 1024  # Linux reports ru_maxrss in KiB
+    problems = [] if peak_mb < 300.0 else [f"peak RSS {peak_mb:.0f} MB >= 300 MB"]
+    _criterion(12, f"300-group Poisson pof peak RSS ({peak_mb:.0f} MB)", problems)

@@ -338,7 +338,8 @@ def test_alpha_fair_smooth_solve_takes_few_expected_min_calls(monkeypatch):
     # regression: bisecting every smooth box inverse cost 41,298 calls here,
     # and bisecting each floor's cdf level from [0, 1] again 2,448 fill steps;
     # bisecting the floor interval's ends and starting every inverse from
-    # [0, cap] cost 5,547 calls and 248 box inverses per group
+    # [0, cap] cost 5,547 calls and 248 box inverses per group; starting each
+    # inverse from its curve's last crossing, the solve takes 2,395 calls
     sc = scenario(540.0, Normal(100.0, 10.0), Normal(200.0, 20.0), Normal(300.0, 30.0))
     calls = []
     expected_min = Normal._expected_min
@@ -590,31 +591,40 @@ def test_smooth_box_inverses_match_reference_bisection(dist, cap_ratio, share, t
                 or abs(em(v) - em(ref)) <= 8 * math.ulp(curve.mu))
 
 
+def same_up_to_flat_curve(curve, warm, cold):
+    # the flat-curve clause of the reference-bisection test above
+    return warm == cold or (warm is not None and cold is not None
+                            and abs(curve.em(warm) - curve.em(cold)) <= 8 * math.ulp(curve.mu))
+
+
 @given(
     dist=st.one_of(strategies.heavy_normals(), strategies.continuous_distributions),
     cap_ratio=st.floats(0.5, 40.0),
     shares=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=3, max_size=3, unique=True),
-    keep_below=st.booleans(),
+    before=st.sampled_from([(0,), (2,), (0, 2), (2, 0)]),
 )
 @settings(max_examples=150)
-def test_warm_box_inverses_match_cold(dist, cap_ratio, shares, keep_below):
-    # An inverse started from its results at a lower and a higher target
-    # returns what it returns from [0, cap], up to the flat-curve clause of
-    # the reference-bisection test above, and evaluates em only on the
-    # inherited end's side of the crossing.
-    curve = allocation_module._curve(dist, cap_ratio * dist.mean())
-    q0 = curve.em0 / curve.mu
-    low, mid, high = sorted(q0 + (1.0 - q0) * share for share in shares)
-    t = mid * curve.mu
+def test_warm_box_inverses_match_cold(dist, cap_ratio, shares, before):
+    # An inverse run after the same curve's inverses at a lower target, a
+    # higher one or both returns what a fresh curve returns, up to the
+    # flat-curve clause, and evaluates em only on the previous crossing's
+    # side: at or right of it when it is unreached, at or left of it when
+    # it is reached.
+    cap = cap_ratio * dist.mean()
+    q0 = dist._expected_min(0.0) / dist.mean()
+    targets = sorted(q0 + (1.0 - q0) * share for share in shares)
+    mid = targets[1]
+    t = mid * dist.mean()
     cases = (
-        (curve.lowest_v_with_q_at_least, lambda v: curve.em(v) >= t),
-        (curve.highest_v_with_q_at_most, lambda v: curve.em(v) > t),
+        ("lowest_v_with_q_at_least", False, lambda v: dist._expected_min(v) >= t),
+        ("highest_v_with_q_at_most", True, lambda v: dist._expected_min(v) > t),
     )
-    for invert, reached in cases:
-        below, above = invert(low), invert(high)
-        if not keep_below:
-            below = None
-        cold = invert(mid)
+    for name, strict, reached in cases:
+        curve = allocation_module._curve(dist, cap)
+        for i in before:
+            getattr(curve, name)(targets[i])
+        last = curve._last[strict]
+        cold = getattr(allocation_module._curve(dist, cap), name)(mid)
         points = []
         expected_min = type(dist)._expected_min
 
@@ -624,15 +634,31 @@ def test_warm_box_inverses_match_cold(dist, cap_ratio, shares, keep_below):
 
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(type(dist), "_expected_min", recording)
-            warm = invert(mid, (below, above))
-        assert (warm == cold or (warm is not None and cold is not None
-                                 and abs(curve.em(warm) - curve.em(cold)) <= 8 * math.ulp(curve.mu)))
-        if not points:
-            continue  # answered before any root search
-        if below is not None and 0.0 < below < curve.cap and not reached(below):
-            assert min(points) >= below
-        elif below is None and above is not None and 0.0 < above < curve.cap and reached(above):
-            assert max(points) <= above
+            warm = getattr(curve, name)(mid)
+        assert same_up_to_flat_curve(curve, warm, cold)
+        if not points or not 0.0 < last < curve.cap:
+            continue  # answered before any root search, or started cold
+        if reached(last):
+            assert max(points) <= last
+        else:
+            assert min(points) >= last
+
+
+@pytest.mark.parametrize("sc, first, alpha", [
+    (scenario(540.0, Normal(100.0, 10.0), Normal(200.0, 20.0), Normal(300.0, 30.0)), 0.25, 0.05),
+    (scenario(540.0, Normal(100.0, 10.0), Normal(200.0, 20.0), Normal(300.0, 30.0)), 0.05, 0.25),
+    (scenario(10.0, Normal(5.0, 20.0), Normal(50.0, 5.0)), 0.5, 0.15),
+    (scenario(200.0, Exponential(40.0), Normal(120.0, 30.0), Exponential(90.0)), 0.0, 0.1),
+], ids=["normals-down", "normals-up", "negative-availability", "mixed"])
+def test_alpha_fair_on_reused_curves_matches_fresh_curves(sc, first, alpha):
+    # the band-slop retry reuses the first pass's curves, whose inverses
+    # then start from that pass's crossings
+    curves = allocation_module._prologue(sc)[1]
+    allocation_module._alpha_fair(sc, first, curves)
+    warm = allocation_module._alpha_fair(sc, alpha, curves).values
+    cold = allocation_module._alpha_fair(sc, alpha, allocation_module._prologue(sc)[1]).values
+    for curve, w, c in zip(curves, warm, cold):
+        assert same_up_to_flat_curve(curve, w, c)
 
 
 def assert_floor_interval_matches_bisection(curves, budget, alpha, band_slop):

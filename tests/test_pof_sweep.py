@@ -1,10 +1,13 @@
 import csv
 import io
+import json
 import pathlib
 import runpy
 import sys
 
-from fairalloc import Scenario, pof
+import pytest
+
+from fairalloc import ConvergenceError, Scenario, pof
 from fairalloc.scenario_io import format_value, load_scenario_path
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -28,3 +31,44 @@ def test_pof_sweep_writes_one_row_per_ratio_and_alpha(monkeypatch, capsys):
         cells = dict(zip(header, row))
         sc = Scenario(resource=ratio * base.total_mean, groups=base.groups)
         assert cells["pof"] == format_value(pof(sc, alpha).pof)
+
+
+INFEASIBLE = {
+    "resource": 1.0,
+    "groups": [
+        {"name": "wide", "distribution": {"kind": "normal", "mu": 1, "sigma": 100}},
+        {"name": "narrow", "distribution": {"kind": "normal", "mu": 1, "sigma": 0.01}},
+    ],
+}
+
+
+def stalled_pof(*args, **kwargs):
+    raise ConvergenceError("stalled")
+
+
+@pytest.mark.parametrize("argv, fault, code, message", [
+    (["--alphas", "1.0"], None, 1, "pof requires 0 <= alpha < 1, got 1.0"),
+    (["--ratios", "1.0", "--alphas", "0.05"], "infeasible", 1,
+     "no availability floor admits a feasible fairness band for alpha=0.05"),
+    (["--ratios", "x"], None, 1, "could not convert string to float: 'x'"),
+    ([], "missing", 1, "No such file or directory"),
+    ([], "stalled", 2, "optimizer error: stalled"),
+], ids=["alpha-one", "infeasible-cell", "bad-ratio", "missing-file", "no-convergence"])
+def test_pof_sweep_reports_errors_without_a_traceback(
+        argv, fault, code, message, monkeypatch, capsys, tmp_path):
+    script = runpy.run_path(str(ROOT / "scripts" / "pof_sweep.py"))
+    path = SCENARIO
+    if fault == "infeasible":
+        path = tmp_path / "infeasible.json"
+        path.write_text(json.dumps(INFEASIBLE))
+    elif fault == "missing":
+        path = tmp_path / "missing.json"
+    elif fault == "stalled":
+        monkeypatch.setitem(script["main"].__globals__, "pof", stalled_pof)
+    monkeypatch.setattr(sys, "argv", ["pof_sweep.py", "--scenario", str(path), *argv])
+    assert script["main"]() == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("pof_sweep: ") and message in last
+    assert "Traceback" not in captured.err
