@@ -5,14 +5,15 @@ For a scenario file, rescales the budget across a grid of R/Z ratios and
 measures PoF at each alpha, alongside the certificate-implied bounds. The
 output CSV has one row per (ratio, alpha) pair and is plot-ready.
 
-Exits 0 on success, 1 on invalid input or an infeasible cell, and 2 when
-an optimizer fails to converge, as the fairalloc CLI does.
+Exit codes (0 success, 1 invalid input or an infeasible cell, 2 optimizer
+non-convergence) and `pof_sweep: ...` error lines come from fairalloc.cli.run.
 """
 
 import argparse
 import sys
 
-from fairalloc import InfeasibleError, OptimizerError, Scenario, pof, scenario_certificate
+from fairalloc import Scenario, pof, scenario_certificate
+from fairalloc.cli import run, write
 from fairalloc.scenario_io import load_scenario_path, rows_to_csv
 
 COLUMNS = [
@@ -36,15 +37,7 @@ def main():
     )
     parser.add_argument("--output", default=None, help="CSV path (default stdout)")
     args = parser.parse_args()
-    try:
-        sweep(args)
-    except (ValueError, OSError, InfeasibleError) as exc:
-        print(f"pof_sweep: {exc}", file=sys.stderr)
-        return 1
-    except OptimizerError as exc:
-        print(f"pof_sweep: optimizer error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    return run("pof_sweep", lambda: sweep(args))
 
 
 def sweep(args):
@@ -60,28 +53,9 @@ def sweep(args):
         sc = Scenario(resource=ratio * total, groups=base.groups)
         for alpha in alphas:
             result = pof(sc, alpha, certificate=cert)
-            rows.append(
-                {
-                    "r_over_z": ratio,
-                    "resource": sc.resource,
-                    "alpha": alpha,
-                    "pof": result.pof,
-                    "unconstrained_utilization": result.unconstrained_utilization,
-                    "constrained_utilization": result.constrained_utilization,
-                    "bound_1_over_1_minus_alpha": result.bound_1_over_1_minus_alpha,
-                    "bound_1_plus_2alpha": result.bound_1_plus_2alpha,
-                }
-            )
-            print(
-                f"R/Z={ratio} alpha={alpha}: pof={result.pof:.6f}",
-                file=sys.stderr,
-            )
-    text = rows_to_csv(rows, COLUMNS)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+            rows.append({"r_over_z": ratio, "resource": sc.resource, **result.to_row()})
+            print(f"R/Z={ratio} alpha={alpha}: pof={result.pof:.6f}", file=sys.stderr)
+    write(rows_to_csv(rows, COLUMNS), args.output)
 
 
 if __name__ == "__main__":

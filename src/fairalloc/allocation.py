@@ -61,7 +61,8 @@ class PofResult:
     max_utilization_allocation: Allocation
     alpha_fair_allocation: Allocation
 
-    def to_dict(self) -> dict:
+    def to_row(self) -> dict:
+        """The six scalar fields: the CSV row of a pof report."""
         return {
             "alpha": self.alpha,
             "unconstrained_utilization": self.unconstrained_utilization,
@@ -69,6 +70,11 @@ class PofResult:
             "pof": self.pof,
             "bound_1_over_1_minus_alpha": self.bound_1_over_1_minus_alpha,
             "bound_1_plus_2alpha": self.bound_1_plus_2alpha,
+        }
+
+    def to_dict(self) -> dict:
+        return {
+            **self.to_row(),
             "certificate": self.certificate.to_dict() if self.certificate else None,
             "max_utilization_allocation": list(self.max_utilization_allocation.values),
             "alpha_fair_allocation": list(self.alpha_fair_allocation.values),
@@ -239,7 +245,7 @@ class _SmoothCurve(_Curve):
 
     def __init__(self, dist: DemandDistribution, cap: float):
         self.em, self.cdf, self.sf = dist._expected_min, dist.cdf, dist.survival
-        self.quantile = dist.quantile
+        self.quantile = dist._quantile  # box_fill calls it only for 0 < s < 1
         self._last = [0.0, 0.0]  # the last low (index 0) and high (index 1) crossing
         super().__init__(dist, cap)
 

@@ -14,7 +14,6 @@ import json
 import sys
 
 from . import allocation, certificates, metrics, montecarlo, scenario_io
-from .distributions import DistributionError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -84,11 +83,21 @@ def _resolve(flag_value, default_value, fallback=None):
     return fallback
 
 
-def _emit(args, sf, settings: dict, result: dict, csv_rows, csv_columns, summary: str) -> None:
+def write(text: str, path) -> None:
+    """Write a report to path, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _emit(args, sf, settings: dict, result: dict, csv_rows, summary: str) -> None:
     """Write the report for args.command and its one-line summary.
 
     The JSON envelope leads its settings with the scenario path; the CSV
-    form carries the version and input digest on every row.
+    form carries the version and input digest on every row, and its header
+    is the first row's keys.
     """
     envelope = scenario_io.report_envelope(
         args.command, {"scenario": args.scenario, **settings}, sf.digest, result
@@ -97,14 +106,10 @@ def _emit(args, sf, settings: dict, result: dict, csv_rows, csv_columns, summary
         for row in csv_rows:
             row.setdefault("tool_version", envelope["version"])
             row.setdefault("input_digest", envelope["input_digest"])
-        text = scenario_io.rows_to_csv(csv_rows, csv_columns + ["tool_version", "input_digest"])
+        text = scenario_io.rows_to_csv(csv_rows, list(csv_rows[0]))
     else:
         text = json.dumps(envelope, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    write(text, args.output)
     print(summary, file=sys.stderr)
 
 
@@ -116,7 +121,7 @@ def _cmd_allocate(args, sf) -> None:
         for g, v in zip(scenario.groups, alloc.values)
     ]
     result = {"resource": scenario.resource, "total_mean": scenario.total_mean, "groups": rows}
-    _emit(args, sf, {}, result, rows, ["group", "mean", "allocation"],
+    _emit(args, sf, {}, result, rows,
           f"mean-weighted allocation over {scenario.size} groups, resource {scenario.resource}")
 
 
@@ -131,11 +136,7 @@ def _cmd_evaluate(args, sf) -> None:
     settings = {"epsilon": epsilon, "alpha": alpha,
                 "method": args.method if epsilon is not None else None,
                 "allocation": list(alloc.values)}
-    columns = ["group", "v", "q", "utilization", "fairness"]
-    if report.bounds is not None:
-        columns += ["epsilon", "delta", "fairness_bound", "utilization_bound",
-                    "fairness_ok", "utilization_ok"]
-    _emit(args, sf, settings, report.to_dict(), report.to_csv_rows(), columns,
+    _emit(args, sf, settings, report.to_dict(), report.to_csv_rows(),
           f"utilization {report.utilization:.6g}, fairness {report.fairness:.6g}")
 
 
@@ -159,7 +160,6 @@ def _cmd_optimize(args, sf) -> None:
         {"group": g.name, "v_max_utilization": v, "max_utilization": u_max}
         for g, v in zip(scenario.groups, v_max.values)
     ]
-    columns = ["group", "v_max_utilization", "max_utilization"]
     summary = f"max utilization {u_max:.6g}"
     if alpha is not None:
         result["alpha_fair"] = {
@@ -171,9 +171,8 @@ def _cmd_optimize(args, sf) -> None:
         for row, v in zip(rows, v_fair.values):
             row["v_alpha_fair"] = v
             row["alpha_fair_utilization"] = u_fair
-        columns += ["v_alpha_fair", "alpha_fair_utilization"]
         summary += f"; alpha-fair utilization {u_fair:.6g} at alpha={alpha}"
-    _emit(args, sf, {"alpha": alpha}, result, rows, columns, summary)
+    _emit(args, sf, {"alpha": alpha}, result, rows, summary)
 
 
 def _cmd_certify(args, sf) -> None:
@@ -208,7 +207,6 @@ def _cmd_certify(args, sf) -> None:
     _emit(args, sf,
           {"epsilon": epsilon, "method": args.method, "target_delta": target},
           {"certificate": cert.to_dict(), "groups": rows}, rows,
-          ["group", "mean", "method", "delta_exact", "delta_chernoff", "threshold", "ok"],
           f"certificate delta {cert.delta:.6g} at epsilon {epsilon} ({cert.method})")
 
 
@@ -222,17 +220,9 @@ def _cmd_pof(args, sf) -> None:
     if epsilon is not None:
         cert = certificates.scenario_certificate(scenario, epsilon, args.method)
     result = allocation.pof(scenario, alpha, cert)
-    row = {
-        "alpha": result.alpha,
-        "unconstrained_utilization": result.unconstrained_utilization,
-        "constrained_utilization": result.constrained_utilization,
-        "pof": result.pof,
-        "bound_1_over_1_minus_alpha": result.bound_1_over_1_minus_alpha,
-        "bound_1_plus_2alpha": result.bound_1_plus_2alpha,
-    }
     settings = {"alpha": alpha, "epsilon": epsilon,
                 "method": args.method if epsilon is not None else None}
-    _emit(args, sf, settings, result.to_dict(), [row], list(row.keys()),
+    _emit(args, sf, settings, result.to_dict(), [result.to_row()],
           f"pof {result.pof:.9g} at alpha={alpha} "
           f"(unconstrained {result.unconstrained_utilization:.6g}, "
           f"constrained {result.constrained_utilization:.6g})")
@@ -252,8 +242,7 @@ def _cmd_curve(args, sf) -> None:
         )
     _emit(args, sf, {"v_max": v_max, "steps": args.steps},
           {"v_max": v_max, "steps": args.steps, "series": series},
-          rows, ["group", "v", "availability", "expected_min"],
-          f"curves for {scenario.size} groups over [0, {v_max}] in {args.steps} steps")
+          rows, f"curves for {scenario.size} groups over [0, {v_max}] in {args.steps} steps")
 
 
 def _cmd_mc_check(args, sf) -> None:
@@ -292,8 +281,7 @@ def _cmd_mc_check(args, sf) -> None:
     all_ok = all(row["ok"] for row in rows)
     _emit(args, sf, {"seed": seed, "samples": samples, "allocation": list(alloc.values)},
           {"rows": rows, "all_ok": all_ok, "mc_report": mc.to_dict()},
-          rows, ["quantity", "exact", "mc_value", "se", "z_score", "ok"],
-          f"{len(rows)} quantities compared at {samples} samples: "
+          rows, f"{len(rows)} quantities compared at {samples} samples: "
           + ("all |z| <= 4" if all_ok else "SOME CHECKS EXCEED 4 SE"))
 
 
@@ -312,27 +300,33 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def run(prog: str, action) -> int:
+    """Call action() and return its exit code, printing any error as one `prog: ...` line.
+
+    Every input error (CliError, ScenarioError, DistributionError and
+    CertificateError) is a ValueError.
+    """
     try:
-        args = parser.parse_args(argv)
-        sf = scenario_io.load_scenario_path(args.scenario)
-        COMMANDS[args.command][0](args, sf)
+        action()
         return EXIT_OK
     except allocation.InfeasibleError as exc:
         # no allocation meets the constraints: a property of the input
-        print(f"fairalloc: infeasible: {exc}", file=sys.stderr)
+        print(f"{prog}: infeasible: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except allocation.OptimizerError as exc:
-        print(f"fairalloc: optimizer error: {exc}", file=sys.stderr)
+        print(f"{prog}: optimizer error: {exc}", file=sys.stderr)
         return EXIT_OPTIMIZER
-    except (CliError, scenario_io.ScenarioError, DistributionError,
-            certificates.CertificateError, ValueError) as exc:
-        print(f"fairalloc: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        print(f"{prog}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"fairalloc: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+
+
+def main(argv=None) -> int:
+    def action():
+        args = build_parser().parse_args(argv)
+        COMMANDS[args.command][0](args, scenario_io.load_scenario_path(args.scenario))
+
+    return run("fairalloc", action)
 
 
 def entry_point() -> None:

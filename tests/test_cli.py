@@ -67,6 +67,19 @@ def test_allocate_csv(capsys, poisson3):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("command, header", [
+    ("optimize", "group,v_max_utilization,max_utilization,tool_version,input_digest"),
+    ("evaluate", "group,v,q,utilization,fairness,tool_version,input_digest"),
+])
+def test_csv_header_without_alpha_or_epsilon(capsys, poisson3, command, header):
+    # poisson3 sets no defaults: optimize runs without alpha, evaluate without epsilon
+    code, out, _ = run(capsys, command, "--scenario", poisson3, "--format", "csv")
+    assert code == EXIT_OK
+    lines = out.strip().split("\n")
+    assert lines[0] == header
+    assert len(lines) == 4
+
+
 def test_evaluate_default_allocation_with_bounds(capsys, poisson3):
     code, out, _ = run(
         capsys, "evaluate", "--scenario", poisson3, "--epsilon", "0.1", "--alpha", "0.25"
