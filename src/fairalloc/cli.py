@@ -10,6 +10,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -49,7 +50,13 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `fairalloc` parser, built on first use and shared by every `main` call.
+
+    parse_args keeps no state between calls, so reuse changes no report; it
+    saves rebuilding the parser and its seven subparsers on every call.
+    """
     parser = _Parser(prog="fairalloc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, flags) in COMMANDS.items():

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from fairalloc import allocation as allocation_module
-from fairalloc.cli import EXIT_OK, EXIT_OPTIMIZER, EXIT_VALIDATION, main
+from fairalloc import cli
+from fairalloc.cli import DEFAULT_SEED, EXIT_OK, EXIT_OPTIMIZER, EXIT_VALIDATION, main
 
 
 @pytest.fixture
@@ -371,3 +372,48 @@ def test_optimizer_failure_exit_codes(capsys, poisson3, monkeypatch, error, expe
     code, _, err = run(capsys, "optimize", "--scenario", poisson3)
     assert code == expected
     assert "forced failure" in err
+
+
+def test_repeated_calls_build_the_parser_once(capsys, poisson3, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert run(capsys, "allocate", "--scenario", poisson3)[0] == EXIT_OK
+    first = len(built)
+    assert run(capsys, "curve", "--scenario", poisson3, "--steps", "5")[0] == EXIT_OK
+    assert run(capsys, "mc-check", "--scenario", poisson3, "--samples", "1000")[0] == EXIT_OK
+    assert len(built) == first
+
+
+def test_curve_steps_do_not_carry_over_to_the_next_call(capsys, poisson3):
+    assert run(capsys, "curve", "--scenario", poisson3, "--steps", "5")[0] == EXIT_OK
+    code, out, _ = run(capsys, "curve", "--scenario", poisson3)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["settings"]["steps"] == 201
+    assert [len(rows) for rows in report["result"]["series"].values()] == [201, 201, 201]
+
+
+def test_mc_check_seed_does_not_carry_over_to_the_next_call(capsys, poisson3):
+    argv = ("mc-check", "--scenario", poisson3, "--samples", "1000")
+    assert json.loads(run(capsys, *argv, "--seed", "7")[1])["settings"]["seed"] == 7
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["settings"]["seed"] == DEFAULT_SEED
+
+
+def test_rejected_calls_leave_the_next_report_unchanged(capsys, poisson3):
+    _, first, _ = run(capsys, "allocate", "--scenario", poisson3)
+    code, out, err = run(capsys, "allocate", "--scenario", poisson3, "--alpha", "0.1")
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "unrecognized arguments: --alpha 0.1" in err
+    code, out, err = run(capsys, "allocate")
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "the following arguments are required: --scenario" in err
+    code, out, _ = run(capsys, "allocate", "--scenario", poisson3)
+    assert (code, out) == (EXIT_OK, first)

@@ -2,13 +2,17 @@ import math
 
 import pytest
 
-from fairalloc.distributions import Binomial, Constant, Normal, Poisson, TwoPoint
+from fairalloc.allocation import mean_weighted
+from fairalloc.distributions import (
+    Binomial, Constant, Empirical, Exponential, Normal, Poisson, TwoPoint,
+)
 from fairalloc.metrics import Allocation, Group, Scenario, availability, utilization
 from fairalloc.montecarlo import (
     CHUNK_SIZE,
     estimate_expected_min,
     estimate_report,
 )
+from oracles import mc_report_reference
 
 
 def test_constant_estimate_is_exact_with_zero_error():
@@ -133,3 +137,27 @@ def test_report_to_dict_round_trip_fields():
     assert payload["samples"] == 1000
     assert payload["seed"] == 5
     assert payload["groups"][0]["expected_min"]["samples"] == 1000
+
+
+@pytest.mark.parametrize(
+    "dists",
+    [
+        (Constant(30.0), Constant(50.0)),
+        (TwoPoint(10.0), TwoPoint(4.0)),
+        (Binomial(100, 0.3), Binomial(60, 0.5)),
+        (Poisson(40.0), Poisson(25.0)),
+        (Normal(100.0, 10.0), Normal(50.0, 12.0)),
+        (Exponential(12.0), Exponential(30.0)),
+        (Empirical((0.0, 3.0, 7.5, 20.0), (0.1, 0.4, 0.3, 0.2)), Empirical((1.0, 9.0), (0.5, 0.5))),
+    ],
+    ids=lambda dists: dists[0].kind,
+)
+def test_report_over_several_chunks_matches_a_plain_chunk_loop(dists):
+    # 3 full chunks and a partial one per group: pins the chunk seeds and the
+    # order in which chunk sums are combined, which one-chunk reports do not
+    samples = 3 * CHUNK_SIZE + 333
+    groups = (Group("a", dists[0]), Group("b", dists[1]))
+    sc = Scenario(resource=0.9 * sum(d.mean() for d in dists), groups=groups)
+    alloc = mean_weighted(sc)
+    report = estimate_report(sc, alloc, samples, seed=5)
+    assert report.to_dict() == mc_report_reference(sc, alloc.values, samples, 5, CHUNK_SIZE)
