@@ -476,12 +476,16 @@ def _alpha_fair(scenario: Scenario, alpha: float, curves) -> Allocation:
     # First pass inverts the fairness band exactly. Near availability 1 the
     # inverse dv/dq blows up (survival underflows), so adjacent representable
     # floors can straddle the budget with no floor landing on it; the retry
-    # widens each band by 1e-9 in availability, three orders inside the
-    # Q <= alpha + 1e-6 contract, which restores feasibility there.
+    # widens each band by 2e-9 in availability, 500 times inside the
+    # Q <= alpha + 1e-6 contract, which restores feasibility there. When
+    # both passes fail, the error is the first pass's, at the requested alpha.
     try:
-        best_v = _floor_sweep(curves, budget, alpha, 0.0)
-    except InfeasibleError:
-        best_v = _floor_sweep(curves, budget, alpha, 1e-9)
+        best_v = _floor_sweep(curves, budget, alpha)
+    except InfeasibleError as first:
+        try:
+            best_v = _floor_sweep(curves, budget, alpha + 2e-9)
+        except InfeasibleError:
+            raise first from None
 
     alloc = Allocation(tuple(best_v))
     gap = metrics.fairness(scenario, alloc)
@@ -492,38 +496,25 @@ def _alpha_fair(scenario: Scenario, alpha: float, curves) -> Allocation:
     return alloc
 
 
-def _box_ends(curves, budget, alpha, band_slop):
-    """(lows, highs): each group's box ends as functions of the floor ell.
+def _feasible_floors(curves, budget, alpha):
+    """(ell_min, ell_max, lows, highs): the floors whose boxes can meet the budget.
 
     lows(ell) are the least v reaching q = ell and highs(ell) the most v
     keeping q <= ell + alpha (no top once the band reaches 1); None marks a
     group that cannot meet its end of the band. Each floor's ends are
-    computed once, and callers must not change the lists.
+    computed once, and callers must not change the lists. Raises
+    InfeasibleError when no floor is feasible.
     """
-    n = len(curves)
-
     @functools.cache
     def lows(ell):
-        target = ell - band_slop
-        return [c.lowest_v_with_q_at_least(target) for c in curves]
+        return [c.lowest_v_with_q_at_least(ell) for c in curves]
 
     @functools.cache
     def highs(ell):
-        band_top = ell + alpha + band_slop
+        band_top = ell + alpha
         if band_top >= 1.0:
-            return [budget] * n
+            return [budget] * len(curves)
         return [c.highest_v_with_q_at_most(band_top) for c in curves]
-
-    return lows, highs
-
-
-def _feasible_floors(curves, budget, alpha, band_slop):
-    """(ell_min, ell_max, lows, highs): the floors whose boxes can meet the budget.
-
-    lows and highs are the _box_ends the interval was found with. Raises
-    InfeasibleError when no floor is feasible.
-    """
-    lows, highs = _box_ends(curves, budget, alpha, band_slop)
 
     # Strict predicates: the searched interval must contain only floors whose
     # boxes genuinely bracket the budget, else searched floors sit a tolerance
@@ -543,8 +534,7 @@ def _feasible_floors(curves, budget, alpha, band_slop):
         lo = lows(ell)
         if None in lo:
             return 0.0
-        target = ell - band_slop
-        return sum(c.inverse_slope(v) for c, v in zip(curves, lo) if c.em0 <= target * c.mu)
+        return sum(c.inverse_slope(v) for c, v in zip(curves, lo) if c.em0 <= ell * c.mu)
 
     def hi_slope(ell):
         hi = highs(ell)
@@ -583,10 +573,10 @@ def _feasible_floors(curves, budget, alpha, band_slop):
     return min(ell_min, ell_max), ell_max, lows, highs
 
 
-def _floor_sweep(curves, budget, alpha, band_slop):
-    ell_min, ell_max, lows, highs = _feasible_floors(curves, budget, alpha, band_slop)
+def _floor_sweep(curves, budget, alpha):
+    ell_min, ell_max, lows, highs = _feasible_floors(curves, budget, alpha)
 
-    def boxes(ell):
+    def solve(ell, known):
         lo, hi = lows(ell), list(highs(ell))
         if None in lo or None in hi:
             return None
@@ -594,14 +584,8 @@ def _floor_sweep(curves, budget, alpha, band_slop):
             if high < low - 1e-9:
                 return None
             hi[i] = max(high, low)
-        return lo, hi
-
-    def solve(ell, known):
-        bx = boxes(ell)
-        if bx is None:
-            return None
         try:
-            v, bracket = _water_fill(curves, budget, *bx, known)
+            v, bracket = _water_fill(curves, budget, lo, hi, known)
         except InfeasibleError:
             return None
         value = sum(c.em(x) for c, x in zip(curves, v))

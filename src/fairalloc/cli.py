@@ -82,14 +82,6 @@ def _allocation(args, scenario) -> metrics.Allocation:
     return alloc
 
 
-def _resolve(flag_value, default_value, fallback=None):
-    if flag_value is not None:
-        return flag_value
-    if default_value is not None:
-        return default_value
-    return fallback
-
-
 def write(text: str, path) -> None:
     """Write a report to path, or to stdout without one."""
     if path:
@@ -135,13 +127,11 @@ def _cmd_allocate(args, sf) -> None:
 def _cmd_evaluate(args, sf) -> None:
     scenario = sf.scenario
     alloc = _allocation(args, scenario)
-    epsilon = _resolve(args.epsilon, sf.defaults.epsilon)
-    alpha = _resolve(args.alpha, sf.defaults.alpha)
     report = metrics.evaluate(
-        scenario, alloc, epsilon=epsilon, method=args.method, alpha=alpha
+        scenario, alloc, epsilon=args.epsilon, method=args.method, alpha=args.alpha
     )
-    settings = {"epsilon": epsilon, "alpha": alpha,
-                "method": args.method if epsilon is not None else None,
+    settings = {"epsilon": args.epsilon, "alpha": args.alpha,
+                "method": args.method if args.epsilon is not None else None,
                 "allocation": list(alloc.values)}
     _emit(args, sf, settings, report.to_dict(), report.to_csv_rows(),
           f"utilization {report.utilization:.6g}, fairness {report.fairness:.6g}")
@@ -149,7 +139,7 @@ def _cmd_evaluate(args, sf) -> None:
 
 def _cmd_optimize(args, sf) -> None:
     scenario = sf.scenario
-    alpha = _resolve(args.alpha, sf.defaults.alpha)
+    alpha = args.alpha
     if alpha is None:
         v_max = allocation.max_utilization(scenario)
         u_max = metrics.utilization(scenario, v_max)
@@ -184,7 +174,7 @@ def _cmd_optimize(args, sf) -> None:
 
 def _cmd_certify(args, sf) -> None:
     scenario = sf.scenario
-    epsilon = _resolve(args.epsilon, sf.defaults.epsilon)
+    epsilon = args.epsilon
     if epsilon is None:
         raise CliError("certify requires --epsilon (or a defaults.epsilon in the scenario)")
     cert = certificates.scenario_certificate(scenario, epsilon, args.method)
@@ -219,10 +209,9 @@ def _cmd_certify(args, sf) -> None:
 
 def _cmd_pof(args, sf) -> None:
     scenario = sf.scenario
-    alpha = _resolve(args.alpha, sf.defaults.alpha)
+    alpha, epsilon = args.alpha, args.epsilon
     if alpha is None:
         raise CliError("pof requires an explicit --alpha (or a defaults.alpha in the scenario)")
-    epsilon = _resolve(args.epsilon, sf.defaults.epsilon)
     cert = None
     if epsilon is not None:
         cert = certificates.scenario_certificate(scenario, epsilon, args.method)
@@ -257,8 +246,8 @@ def _cmd_mc_check(args, sf) -> None:
     alloc = _allocation(args, scenario)
     if args.seed is not None and args.seed < 0:
         raise CliError(f"--seed must be >= 0, got {args.seed}")
-    seed = _resolve(args.seed, sf.defaults.seed, DEFAULT_SEED)
-    samples = _resolve(args.samples, sf.defaults.samples, DEFAULT_SAMPLES)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
     mc = montecarlo.estimate_report(scenario, alloc, samples, seed)
 
     def comparison(quantity, exact, estimate):
@@ -331,7 +320,13 @@ def run(prog: str, action) -> int:
 def main(argv=None) -> int:
     def action():
         args = build_parser().parse_args(argv)
-        COMMANDS[args.command][0](args, scenario_io.load_scenario_path(args.scenario))
+        sf = scenario_io.load_scenario_path(args.scenario)
+        # A flag the command reads but was not given takes the scenario's
+        # default; getattr's default skips the flags the command lacks.
+        for key, value in sf.defaults.to_dict().items():
+            if getattr(args, key, value) is None:
+                setattr(args, key, value)
+        COMMANDS[args.command][0](args, sf)
 
     return run("fairalloc", action)
 

@@ -137,7 +137,7 @@ def bisect_bracket(pred, a, b, steps):
     return a, b
 
 
-def floor_interval_bisect(curves, budget, alpha, band_slop, steps):
+def floor_interval_bisect(curves, budget, alpha, steps):
     """(ell_min, ell_max) of the alpha-fair floor sweep, or None when it is empty.
 
     Bisects each end over [q0, 1] with ``bisect_bracket``, inverting every
@@ -145,10 +145,10 @@ def floor_interval_bisect(curves, budget, alpha, band_slop, steps):
     steps on the sums of the box ends.
     """
     def lows(ell):
-        return [c.lowest_v_with_q_at_least(ell - band_slop) for c in curves]
+        return [c.lowest_v_with_q_at_least(ell) for c in curves]
 
     def highs(ell):
-        band_top = ell + alpha + band_slop
+        band_top = ell + alpha
         if band_top >= 1.0:
             return [budget] * len(curves)
         return [c.highest_v_with_q_at_most(band_top) for c in curves]

@@ -319,12 +319,13 @@ def large_poisson_scenario():
 
 def test_criterion_12_large_poisson_pof():
     # Poisson knot tables end at the law's tail, not at the budget (each
-    # used to hold about 56k knots here)
+    # used to hold about 56k knots here). The solve is single-threaded, so
+    # CPU time measures it without the wall-clock stalls of a loaded machine.
     problems = []
     sc = large_poisson_scenario()
-    start = time.perf_counter()
+    start = time.process_time()
     result = pof(sc, 0.05)
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     if not 1.0 <= result.pof < math.inf:
         problems.append(f"pof {result.pof!r} outside [1, inf)")
     if elapsed >= 2.0:

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -225,6 +226,30 @@ def test_pof_alpha_from_scenario_defaults(capsys, tmp_path):
     code, out, _ = run(capsys, "pof", "--scenario", str(path))
     assert code == EXIT_OK
     assert json.loads(out)["settings"]["alpha"] == 0.5
+
+
+def test_flag_beats_scenario_default_beats_built_in(capsys, poisson3, tmp_path):
+    # with neither a flag nor a default, mc-check's built-in seed is checked by
+    # test_mc_check_seed_does_not_carry_over_to_the_next_call
+    raw = json.loads(pathlib.Path(poisson3).read_text())
+    path = tmp_path / "with_defaults.json"
+    path.write_text(json.dumps({**raw, "defaults": {"epsilon": 0.2, "seed": 7, "samples": 1000}}))
+    path = str(path)
+
+    def settings(*argv):
+        code, out, _ = run(capsys, *argv, "--scenario", path)
+        assert code == EXIT_OK
+        return json.loads(out)["settings"]
+
+    mc = settings("mc-check")
+    assert (mc["seed"], mc["samples"]) == (7, 1000)
+    mc = settings("mc-check", "--seed", "3")
+    assert (mc["seed"], mc["samples"]) == (3, 1000)
+    assert settings("certify")["epsilon"] == 0.2
+    assert settings("certify", "--epsilon", "0.1")["epsilon"] == 0.1
+    assert settings("allocate") == {"scenario": path}
+    reports = [json.loads(run(capsys, "allocate", "--scenario", p)[1]) for p in (path, poisson3)]
+    assert reports[0]["result"] == reports[1]["result"]
 
 
 def test_pof_with_certificate_bounds(capsys, poisson3):
