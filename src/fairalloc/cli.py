@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import allocation, certificates, metrics, montecarlo, scenario_io
@@ -250,10 +251,11 @@ def _cmd_mc_check(args, sf) -> None:
     samples = DEFAULT_SAMPLES if args.samples is None else args.samples
     mc = montecarlo.estimate_report(scenario, alloc, samples, seed)
 
-    def comparison(quantity, exact, estimate):
+    def comparison(quantity, exact, estimate, se_floor):
         gap = estimate.value - exact
-        if estimate.standard_error > 0.0:
-            z = gap / estimate.standard_error
+        se = max(estimate.standard_error, se_floor)
+        if se > 0.0:
+            z = gap / se
         else:
             z = 0.0 if abs(gap) <= 1e-12 else float("inf")
         return {
@@ -261,19 +263,26 @@ def _cmd_mc_check(args, sf) -> None:
             "exact": exact,
             "mc_value": estimate.value,
             "se": estimate.standard_error,
+            "se_floor": se_floor,
             "z_score": z,
             "ok": abs(z) <= 4.0,
         }
 
+    # When few draws fall below v the sample SE is 0 or too small. By the
+    # rule of three, Pr[C < v] may still be up to 3/n, which leaves the mean
+    # of min(C, v) an error of up to sqrt(3)/n times the root-mean-square
+    # shortfall v - C of such a draw: z divides by at least that.
     rows = []
+    floors = []
     for group, v, report in zip(scenario.groups, alloc.values, mc.groups):
-        rows.append(
-            comparison(f"expected_min[{group.name}]", group.dist.expected_min(v), report.expected_min)
-        )
-        rows.append(
-            comparison(f"availability[{group.name}]", metrics.availability(group.dist, v), report.availability)
-        )
-    rows.append(comparison("utilization", metrics.utilization(scenario, alloc), mc.utilization))
+        floor = math.sqrt(3.0) / samples * group.dist.shortfall_bound(v)
+        floors.append(floor)
+        rows.append(comparison(f"expected_min[{group.name}]", group.dist.expected_min(v),
+                               report.expected_min, floor))
+        rows.append(comparison(f"availability[{group.name}]", metrics.availability(group.dist, v),
+                               report.availability, floor / group.dist.mean()))
+    rows.append(comparison("utilization", metrics.utilization(scenario, alloc), mc.utilization,
+                           math.hypot(*floors)))
     all_ok = all(row["ok"] for row in rows)
     _emit(args, sf, {"seed": seed, "samples": samples, "allocation": list(alloc.values)},
           {"rows": rows, "all_ok": all_ok, "mc_report": mc.to_dict()},

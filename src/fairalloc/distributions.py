@@ -11,13 +11,14 @@ at continuity points.
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 from typing import ClassVar, Optional
 
 import numpy as np
-from scipy.special import bdtr, bdtrc, bdtrik, ndtri, pdtr, pdtrc, pdtrik
+from scipy.special import bdtr, bdtrc, bdtrik, log_ndtr, ndtri, pdtr, pdtrc, pdtrik
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -80,9 +81,13 @@ class DemandDistribution(ABC):
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         """Draw from the distribution; a float when size is None, else an array.
 
-        Empirical draws, and the generator's state after them, equal
-        ``Generator.choice(values, size, p=probabilities)`` for the same
-        generator state.
+        Empirical, Binomial and Poisson draws invert one uniform each through
+        a guide table (``_GuideTable``). Empirical draws, and the generator's
+        state after them, equal ``Generator.choice(values, size,
+        p=probabilities)`` for the same generator state. Binomial and Poisson
+        tables come from their pmf ratios, not from the cdf formulas that
+        Monte Carlo checks; a law whose table would pass 1 << 20 points draws
+        from numpy's own sampler instead.
         """
 
     @abstractmethod
@@ -92,6 +97,13 @@ class DemandDistribution(ABC):
     def mass_below_zero(self) -> float:
         """Pr[C < 0]; nonzero only for models that put mass on negatives."""
         return 0.0
+
+    def shortfall_bound(self, v: float) -> float:
+        """An upper bound on the root-mean-square shortfall v - C of a draw C < v.
+
+        v for laws on C >= 0; models with mass below zero override it.
+        """
+        return v
 
     def expected_min_knots(self, cap: float) -> Optional[KnotTable]:
         """Exact piecewise-linear knots of expected_min on [0, cap].
@@ -230,6 +242,70 @@ def _smallest_point_with_cdf_at_least(p, guess, cdf_at, upper):
     return float(m)
 
 
+class _GuideTable:
+    """Inversion sampling over a finite law by a cdf with a guide table.
+
+    ``cumulative`` holds nondecreasing cumulative weights, normalized here so
+    the last cdf point is 1 exactly, and ``values`` the point at each of
+    them. A draw is the value at the smallest k with cdf[k] > u for one
+    uniform u, as in ``Generator.choice``. guide[b] counts the cdf points <=
+    b / 2**j, and split[b] marks the buckets with a cdf point strictly
+    inside. The bucket edges are exact doubles, so for u in an unsplit
+    bucket b = floor(u * 2**j) the count of cdf points <= u is guide[b]
+    exactly (Chen & Asau, AIIE Trans. 1974; Devroye, Non-Uniform Random
+    Variate Generation, 1986, ch. III). With at least 16 buckets per point,
+    at most one draw in 16 lands in a split bucket and needs a search.
+    """
+
+    def __init__(self, cumulative, values):
+        self.cdf = cumulative / cumulative[-1]
+        self.values = values
+        buckets = 1 << (self.cdf.size.bit_length() + 4)
+        edges = np.arange(buckets + 1) / buckets
+        self.guide = self.cdf.searchsorted(edges[:-1], side="right")
+        self.split = self.cdf.searchsorted(edges[1:], side="left") > self.guide
+
+    def sample(self, rng, size):
+        if size is None:
+            return float(self.values[self.cdf.searchsorted(rng.random(), side="right")])
+        u = rng.random(size)
+        bucket = (u * self.guide.size).astype(np.intp)
+        idx = self.guide[bucket]
+        hard = np.flatnonzero(self.split[bucket])
+        idx[hard] = self.cdf.searchsorted(u[hard], side="right")
+        return self.values[idx]
+
+
+def _lattice_pmf(mean, sd, top, log_step):
+    """(points, pmf) over the integers in [0, top] within 10 sd + 40 of the mean.
+
+    By Bernstein's inequality each tail past that range holds less than
+    e**-50, far below 2**-53, the spacing of the uniforms, so the points
+    cover every draw. ``log_step(k)`` is log pmf(k + 1) - log pmf(k). The
+    log weights are summed outward from the mean: the largest is about 0,
+    so nothing like e**-lambda, which underflows for lambda > 745, is ever
+    formed, and the rounding of the sums stays off the bulk of the law.
+    None past 1 << 20 points, the cap of the knot tables.
+    """
+    spread = 10.0 * sd + 40.0
+    lo = max(0, math.floor(mean - spread))
+    hi = min(top, math.ceil(mean + spread))
+    if hi - lo >= 1 << 20:
+        return None
+    ks = np.arange(lo, hi + 1, dtype=float)
+    steps = log_step(ks[:-1])
+    start = min(max(round(mean), lo), hi) - lo
+    log_w = np.zeros(ks.size)
+    log_w[start + 1:] = np.cumsum(steps[start:])
+    log_w[:start] = -np.cumsum(steps[:start][::-1])[::-1]
+    weights = np.exp(log_w)
+    return ks, weights / weights.sum()
+
+
+def _lattice_table(lattice) -> Optional[_GuideTable]:
+    return None if lattice is None else _GuideTable(np.cumsum(lattice[1]), lattice[0])
+
+
 @dataclass(frozen=True)
 class Binomial(DemandDistribution):
     """Number of candidates among n independent members, each active w.p. p."""
@@ -286,7 +362,18 @@ class Binomial(DemandDistribution):
         partial = self.mean() * float(bdtr(m - 1, self.n - 1, self.p)) if m >= 1 else 0.0
         return partial + v * float(bdtrc(m, self.n, self.p))
 
+    def _lattice(self):
+        odds = self.p / (1.0 - self.p)
+        return _lattice_pmf(self.mean(), math.sqrt(self.mean() * (1.0 - self.p)), self.n,
+                            lambda k: np.log((self.n - k) / (k + 1.0) * odds))
+
+    @functools.cached_property
+    def _table(self) -> Optional[_GuideTable]:
+        return _lattice_table(self._lattice())
+
     def sample(self, rng, size=None):
+        if self._table is not None:
+            return self._table.sample(rng, size)
         draws = rng.binomial(self.n, self.p, size)
         return float(draws) if size is None else draws.astype(float)
 
@@ -349,7 +436,17 @@ class Poisson(DemandDistribution):
         partial = self.lam * float(pdtr(m - 1, self.lam)) if m >= 1 else 0.0
         return partial + v * float(pdtrc(m, self.lam))
 
+    def _lattice(self):
+        return _lattice_pmf(self.lam, math.sqrt(self.lam), math.inf,
+                            lambda k: np.log(self.lam / (k + 1.0)))
+
+    @functools.cached_property
+    def _table(self) -> Optional[_GuideTable]:
+        return _lattice_table(self._lattice())
+
     def sample(self, rng, size=None):
+        if self._table is not None:
+            return self._table.sample(rng, size)
         draws = rng.poisson(self.lam, size)
         return float(draws) if size is None else draws.astype(float)
 
@@ -425,6 +522,14 @@ class Normal(DemandDistribution):
 
     def mass_below_zero(self) -> float:
         return 0.5 * math.erfc(self.mu / (self.sigma * _SQRT2))
+
+    def shortfall_bound(self, v: float) -> float:
+        # the exact root-mean-square, E[(v - C)^2 | C < v] = sigma^2 (t^2 + 1 +
+        # t phi(t) / Phi(t)) at t = (v - mu) / sigma, where draws below 0 push
+        # it past v, the bound of laws on C >= 0
+        t = (v - self.mu) / self.sigma
+        ratio = math.exp(-0.5 * t * t - float(log_ndtr(t))) * _INV_SQRT_2PI
+        return max(v, self.sigma * math.sqrt(max(t * t + 1.0 + t * ratio, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -539,39 +644,13 @@ class Empirical(DemandDistribution):
     def _expected_min(self, v: float) -> float:
         return float(np.minimum(self._vals, v) @ self._probs)
 
-    def _guide_table(self):
-        """Generator.choice's cdf with a guide table over 2**k equal buckets.
-
-        guide[b] counts the cdf points <= b / 2**k, and split[b] marks the
-        buckets with a cdf point strictly inside. The bucket edges are exact
-        doubles, so for u in an unsplit bucket b = floor(u * 2**k) the count
-        of cdf points <= u is guide[b] exactly (Chen & Asau, AIIE Trans.
-        1974; Devroye, Non-Uniform Random Variate Generation, 1986, ch. III).
-        With at least 16 buckets per atom, at most one draw in 16 lands in a
-        split bucket and needs a search. Built on the first draw, not at
-        parse time.
-        """
-        table = self.__dict__.get("_table")
-        if table is None:
-            cdf = self._cum / self._cum[-1]
-            buckets = 1 << (cdf.size.bit_length() + 4)
-            edges = np.arange(buckets + 1) / buckets
-            guide = cdf.searchsorted(edges[:-1], side="right")
-            split = cdf.searchsorted(edges[1:], side="left") > guide
-            table = (cdf, guide, split)
-            object.__setattr__(self, "_table", table)
-        return table
+    @functools.cached_property
+    def _table(self) -> _GuideTable:
+        """Generator.choice's cdf with a guide table, built on the first draw."""
+        return _GuideTable(self._cum, self._vals)
 
     def sample(self, rng, size=None):
-        cdf, guide, split = self._guide_table()
-        if size is None:
-            return float(self._vals[cdf.searchsorted(rng.random(), side="right")])
-        u = rng.random(size)
-        bucket = (u * guide.size).astype(np.intp)
-        idx = guide[bucket]
-        hard = np.flatnonzero(split[bucket])
-        idx[hard] = cdf.searchsorted(u[hard], side="right")
-        return self._vals[idx]
+        return self._table.sample(rng, size)
 
     def support_max(self) -> float:
         return float(self._vals[-1])

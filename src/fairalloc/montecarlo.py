@@ -3,7 +3,10 @@
 These serve as the independent oracle for every closed-form expectation:
 estimates carry a standard error, are bit-reproducible for a fixed seed, and
 are chunked so the merged result does not depend on how chunks are executed.
-Chunk i draws from a generator seeded with ``seed + i``; the number of chunks
+Chunk j of group i draws from a generator seeded with
+``SeedSequence(seed, spawn_key=(i, j))``, the same stream as
+``SeedSequence(seed).spawn(...)[i].spawn(...)[j]``, so no two groups, chunks
+or seeds share a stream (a single estimate is group 0). The number of chunks
 is fixed by the sample count alone.
 """
 
@@ -48,9 +51,9 @@ def _check_seed(seed: int) -> int:
 
 
 def estimate_expected_min(
-    dist: DemandDistribution, v: float, samples: int, seed: int = 42
+    dist: DemandDistribution, v: float, samples: int, seed: int = 42, group: int = 0
 ) -> McEstimate:
-    """Sample mean of min(draw, v) with its standard error."""
+    """Sample mean of min(draw, v) with its standard error, from group ``group``'s streams."""
     samples = _check_samples(samples)
     seed = _check_seed(seed)
     v = float(v)
@@ -63,7 +66,7 @@ def estimate_expected_min(
     buffer = np.empty(min(CHUNK_SIZE, samples))
     while done < samples:
         count = min(CHUNK_SIZE, samples - done)
-        rng = np.random.default_rng(seed + chunk_index)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(group, chunk_index)))
         clipped = np.minimum(dist.sample(rng, count), v, out=buffer[:count])
         total += float(clipped.sum())
         total_sq += float(np.multiply(clipped, clipped, out=clipped).sum())
@@ -109,17 +112,16 @@ def estimate_report(
 ) -> McReport:
     """Per-group availability and total utilization by sampling.
 
-    Groups use disjoint chunk-seed ranges derived from the base seed, so the
-    whole report is reproducible and group estimates stay independent.
+    Group i draws from its own streams, keyed on (i, chunk) under the one
+    seed, so the whole report is reproducible and group estimates stay
+    independent.
     """
     samples = _check_samples(samples)
     seed = _check_seed(seed)
     check_allocation(scenario, alloc)
-    chunks_per_group = -(-samples // CHUNK_SIZE)
     groups = []
     for index, (group, v) in enumerate(zip(scenario.groups, alloc.values)):
-        base = seed + index * chunks_per_group
-        est = estimate_expected_min(group.dist, v, samples, seed=base)
+        est = estimate_expected_min(group.dist, v, samples, seed, index)
         mu = group.dist.mean()
         groups.append(
             McGroupReport(
@@ -130,7 +132,7 @@ def estimate_report(
                     value=est.value / mu,
                     standard_error=est.standard_error / mu,
                     samples=samples,
-                    seed=base,
+                    seed=seed,
                 ),
             )
         )

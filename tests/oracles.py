@@ -224,24 +224,24 @@ def water_fill_full_loop(curves, budget, lo, hi, steps, tol):
 def mc_report_reference(scenario, values, samples, seed, chunk_size):
     """``estimate_report(...).to_dict()`` by a plain loop over the chunks.
 
-    Group i draws its chunks from generators seeded base_i, base_i + 1, ...,
-    with base_i = seed + i * (chunks per group). Chunk j holds ``chunk_size``
+    Group i draws chunk j from the j-th child of the i-th child of
+    ``SeedSequence(seed)``, spawned as a tree. Chunk j holds ``chunk_size``
     draws (the last one the rest), and its sum and sum of squares of
     min(C, v) are added to the group's running totals in chunk order.
     ``groups`` is a tuple, as ``dataclasses.asdict`` leaves it.
     """
     chunks = -(-samples // chunk_size)
 
-    def estimate(value, se, chunk_seed):
-        return {"value": value, "standard_error": se, "samples": samples, "seed": chunk_seed}
+    def estimate(value, se):
+        return {"value": value, "standard_error": se, "samples": samples, "seed": seed}
 
     groups = []
-    for index, (group, v) in enumerate(zip(scenario.groups, values)):
-        base = seed + index * chunks
+    group_seeds = np.random.SeedSequence(seed).spawn(len(values))
+    for group, v, group_seed in zip(scenario.groups, values, group_seeds):
         total = total_sq = 0.0
-        for j in range(chunks):
+        for j, chunk_seed in enumerate(group_seed.spawn(chunks)):
             count = min(chunk_size, samples - j * chunk_size)
-            clipped = np.minimum(group.dist.sample(np.random.default_rng(base + j), count), v)
+            clipped = np.minimum(group.dist.sample(np.random.default_rng(chunk_seed), count), v)
             total += float(clipped.sum())
             total_sq += float((clipped * clipped).sum())
         mean = total / samples
@@ -250,8 +250,8 @@ def mc_report_reference(scenario, values, samples, seed, chunk_size):
         groups.append({
             "name": group.name,
             "allocation": v,
-            "expected_min": estimate(mean, se, base),
-            "availability": estimate(mean / mu, se / mu, base),
+            "expected_min": estimate(mean, se),
+            "availability": estimate(mean / mu, se / mu),
         })
     qs = [g["availability"] for g in groups]
     top = max(qs, key=lambda e: e["value"])
@@ -261,12 +261,10 @@ def mc_report_reference(scenario, values, samples, seed, chunk_size):
         "utilization": estimate(
             sum(g["expected_min"]["value"] for g in groups),
             math.sqrt(sum(g["expected_min"]["standard_error"] ** 2 for g in groups)),
-            seed,
         ),
         "fairness": estimate(
             top["value"] - bottom["value"],
             math.hypot(top["standard_error"], bottom["standard_error"]),
-            seed,
         ),
         "samples": samples,
         "seed": seed,

@@ -6,6 +6,7 @@ import pytest
 from fairalloc import allocation as allocation_module
 from fairalloc import cli
 from fairalloc.cli import DEFAULT_SEED, EXIT_OK, EXIT_OPTIMIZER, EXIT_VALIDATION, main
+from fairalloc.distributions import Binomial, Poisson
 
 
 @pytest.fixture
@@ -307,6 +308,50 @@ def test_mc_check_reports_pass_column(capsys, poisson3):
     assert "utilization" in quantities
     for row in result["rows"]:
         assert abs(row["z_score"]) <= 4.0
+
+
+@pytest.fixture
+def poisson_normal(tmp_path):
+    path = tmp_path / "poisson_normal.json"
+    path.write_text(json.dumps({"resource": 130, "groups": [
+        {"name": "p", "distribution": {"kind": "poisson", "lambda": 200}},
+        {"name": "n", "distribution": {"kind": "normal", "mu": 40, "sigma": 8}},
+    ]}))
+    return str(path)
+
+
+def test_mc_check_rows_with_every_draw_clipped_read_ok(capsys, poisson_normal):
+    # Pr[C < 130] = 5.2e-8 for Poisson(200) and Pr[C < 0] = 2.9e-7 for the
+    # Normal, so no draw of 100k falls below v: every sample SE is 0 while
+    # the exact values lie 1.4e-7 and 4.3e-7 below the sampled ones
+    code, out, _ = run(capsys, "mc-check", "--scenario", poisson_normal,
+                       "--allocation", "130,0", "--samples", "100000")
+    assert code == EXIT_OK
+    result = json.loads(out)["result"]
+    assert result["all_ok"] is True
+    for row in result["rows"]:
+        assert row["se"] == 0.0 and row["mc_value"] != row["exact"]
+        assert row["se_floor"] > 0.0 and abs(row["z_score"]) < 0.1
+
+
+@pytest.mark.parametrize("kind", ["poisson", "binomial"])
+def test_mc_check_flags_a_sampler_whose_mean_is_off_by_0_2_percent(capsys, tmp_path, monkeypatch,
+                                                                    kind):
+    spec = {"poisson": {"kind": "poisson", "lambda": 200},
+            "binomial": {"kind": "binomial", "n": 1000, "p": 0.5}}[kind]
+    path = tmp_path / "one.json"
+    # at v = the mean, half the draws fall below v and carry the shift
+    path.write_text(json.dumps({"resource": 200 if kind == "poisson" else 500,
+                                "groups": [{"name": "g", "distribution": spec}]}))
+    law = {"poisson": Poisson, "binomial": Binomial}[kind]
+    honest = law.sample
+    skewed = Poisson(200.0 * 1.002) if kind == "poisson" else Binomial(1000, 0.5 * 1.002)
+    monkeypatch.setattr(law, "sample", lambda self, rng, size=None: honest(skewed, rng, size))
+    code, out, _ = run(capsys, "mc-check", "--scenario", str(path))
+    assert code == EXIT_OK
+    rows = json.loads(out)["result"]["rows"]
+    # |z| reads 24.8 (Poisson) and 55.4 (Binomial); the SE floor is 3.5e-4 and 8.7e-4
+    assert all(abs(row["z_score"]) > 20.0 and not row["ok"] for row in rows)
 
 
 def test_mc_check_negative_seed_names_the_flag(capsys, poisson3):

@@ -1,13 +1,19 @@
+import dataclasses
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import oracles
 import strategies
+from fairalloc import distributions
 from fairalloc.distributions import (
     Binomial,
     Constant,
@@ -382,6 +388,116 @@ def test_empirical_draws_next_to_cdf_points_follow_choice_inverse(dist):
 def test_example_law_cumsum_ends_below_one():
     dist = Empirical(tuple(range(1, 11)), (0.1,) * 10)
     assert float(np.cumsum(dist.probabilities)[-1]) < 1.0
+
+
+LATTICE = [
+    Binomial(1, 0.5),
+    Binomial(10, 0.5),
+    Binomial(200, 0.3),
+    Binomial(50, 0.999),
+    Binomial(1000, 0.5),
+    Binomial(10**7, 0.5),
+    Binomial(10**7, 1e-6),
+    Poisson(0.01),
+    Poisson(4.0),
+    Poisson(400.0),
+    Poisson(2000.0),  # e**-lambda underflows
+    Poisson(1e7),
+]
+
+
+def _scipy_law(dist):
+    if isinstance(dist, Binomial):
+        return stats.binom(dist.n, dist.p)
+    return stats.poisson(dist.lam)
+
+
+def _mpmath_poisson_pmf(lam, k):
+    with mpmath.workdps(40):
+        return float(mpmath.exp(k * mpmath.log(lam) - lam - mpmath.loggamma(k + 1)))
+
+
+@pytest.mark.parametrize("dist", LATTICE, ids=ids)
+def test_lattice_tables_match_scipy_pmf(dist):
+    ks, pmf = dist._lattice()
+    law = _scipy_law(dist)
+    expected = law.pmf(ks)
+    if dist == Poisson(1e7):
+        # scipy's exp(k log lam - lam - gammaln(k + 1)) cancels terms near
+        # 1.6e8 and is 2e-8 off here; 40-digit mpmath on every 211th point
+        ks, pmf = ks[::211], pmf[::211]
+        expected = np.array([_mpmath_poisson_pmf(dist.lam, k) for k in ks])
+    kept = expected >= 1e-300
+    assert np.allclose(pmf[kept], expected[kept], rtol=1e-10, atol=0.0)
+    assert not np.any(pmf[~kept] >= 1e-290)
+    # the tails past the table are out of reach of a 53-bit uniform
+    ks = dist._table.values
+    assert law.cdf(ks[0] - 1.0) < 2.0**-53 and law.sf(ks[-1]) < 2.0**-53
+    assert dist._table.cdf[-1] == 1.0
+
+
+@pytest.mark.parametrize("dist", [d for d in LATTICE if d.mean() < 1e4], ids=ids)
+def test_lattice_draws_next_to_cdf_points_invert_the_cdf(dist):
+    cdf = dist._table.cdf
+    grid = np.floor(cdf * 2.0**53)[:, None] + np.arange(-3.0, 4.0)
+    uniforms = np.unique(grid.ravel()) / 2.0**53
+    uniforms = uniforms[(uniforms >= 0.0) & (uniforms < 1.0)]
+    draws = dist.sample(_KnownUniforms(uniforms), uniforms.size)
+    # the smallest k with cdf[k] > u
+    expected = np.array([dist._table.values[np.argmax(cdf > u)] for u in uniforms])
+    assert np.array_equal(draws, expected)
+
+
+@pytest.mark.parametrize("dist", [Binomial(10**7, 0.5), Binomial(10**7, 1e-6), Poisson(1e7)],
+                         ids=ids)
+def test_large_lattice_laws_draw_a_million_in_bounded_time_and_memory(dist):
+    fresh = dataclasses.replace(dist)
+    tracemalloc.start()
+    start = time.process_time()
+    try:
+        draws = fresh.sample(np.random.default_rng(5), 1_000_000)
+        elapsed = time.process_time() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 0.03-0.13 s and 32-43 MB (the draws themselves take 32 MB)
+    assert elapsed < 1.0
+    assert peak < 100e6
+    assert fresh._table is not None
+    se = math.sqrt(_scipy_law(dist).var() / draws.size)
+    assert abs(float(draws.mean()) - dist.mean()) <= 5.0 * se
+
+
+def test_lattice_laws_past_the_table_cap_keep_numpy_samplers():
+    for dist in (Poisson(1e11), Binomial(10**12, 0.5)):
+        assert dist._table is None
+        draws = dist.sample(np.random.default_rng(3), 1000)
+        assert draws.dtype == float
+        assert abs(float(draws.mean()) - dist.mean()) <= 5.0 * math.sqrt(dist.mean() / 1000)
+        assert type(dist.sample(np.random.default_rng(3))) is float
+
+
+@pytest.mark.parametrize("dist", ALL + LATTICE, ids=ids)
+def test_sampling_calls_no_cdf_formula(dist, monkeypatch):
+    # Monte Carlo checks the closed forms built on these, so no draw may use them
+    def refuse(*args):
+        raise AssertionError("a sampler called a cdf formula")
+
+    for name in ("bdtr", "bdtrc", "pdtr", "pdtrc"):
+        monkeypatch.setattr(distributions, name, refuse)
+    fresh = dataclasses.replace(dist)
+    assert type(fresh.sample(np.random.default_rng(0))) is float
+    assert fresh.sample(np.random.default_rng(0), 100).shape == (100,)
+
+
+@pytest.mark.parametrize("mu,sigma,v", [(40.0, 8.0, 0.0), (1.0, 10.0, 2.0), (1.2, 24.5, 5.0),
+                                         (100.0, 10.0, 60.0)])
+def test_normal_shortfall_bound_is_v_or_the_exact_root_mean_square(mu, sigma, v):
+    with mpmath.workdps(30):
+        below = mpmath.quad(lambda x: (v - x) ** 2 * mpmath.npdf(x, mu, sigma), [-mpmath.inf, v])
+        rms = float(mpmath.sqrt(below / mpmath.ncdf(v, mu, sigma)))
+    assert Normal(mu, sigma).shortfall_bound(v) == pytest.approx(max(v, rms), rel=1e-9)
+    assert Poisson(mu).shortfall_bound(v) == v
 
 
 @pytest.mark.parametrize("dist", ALL, ids=ids)

@@ -1,4 +1,5 @@
 import math
+from typing import ClassVar
 
 import pytest
 
@@ -119,15 +120,46 @@ def test_report_binomial_single_group():
     assert abs(got.value - exact_q) <= 4.0 * got.standard_error
 
 
+class _StreamLog(Constant):
+    """A constant law that logs the state of every generator it draws from."""
+
+    states: ClassVar[list] = []
+
+    def sample(self, rng, size=None):
+        self.states.append(rng.bit_generator.state["state"]["state"])
+        return super().sample(rng, size)
+
+
+def _report_streams(n_groups, samples, seed):
+    """Per group, the initial generator state of each chunk an estimate_report draws."""
+    _StreamLog.states = []
+    sc = Scenario(resource=10.0 * n_groups,
+                  groups=tuple(Group(f"g{i}", _StreamLog(10.0)) for i in range(n_groups)))
+    estimate_report(sc, Allocation((10.0,) * n_groups), samples, seed)
+    chunks = -(-samples // CHUNK_SIZE)
+    return [_StreamLog.states[i * chunks:(i + 1) * chunks] for i in range(n_groups)]
+
+
 def test_report_group_seeds_are_disjoint():
+    first, second = _report_streams(2, 16 * CHUNK_SIZE, 42)
+    assert len(first) == len(second) == 16
+    assert len(set(first) | set(second)) == 32
     sc = Scenario(
         resource=200.0,
         groups=(Group("a", Poisson(100.0)), Group("b", Poisson(100.0))),
     )
     report = estimate_report(sc, Allocation((100.0, 100.0)), samples=10_000, seed=42)
-    # identical distributions and levels, distinct chunk seed ranges
-    assert report.groups[0].expected_min.seed != report.groups[1].expected_min.seed
+    # identical distributions and levels, disjoint streams
     assert report.groups[0].expected_min.value != report.groups[1].expected_min.value
+
+
+def test_neighbouring_seeds_share_no_chunk_stream():
+    # seeding chunk j with seed + j would make seeds 42 and 43 share 15 of
+    # their 16 chunks at 1M samples
+    streams = [state for seed in (42, 43) for group in _report_streams(2, 1_000_000, seed)
+               for state in group]
+    assert len(streams) == 64
+    assert len(set(streams)) == 64
 
 
 def test_report_to_dict_round_trip_fields():
@@ -153,7 +185,7 @@ def test_report_to_dict_round_trip_fields():
     ids=lambda dists: dists[0].kind,
 )
 def test_report_over_several_chunks_matches_a_plain_chunk_loop(dists):
-    # 3 full chunks and a partial one per group: pins the chunk seeds and the
+    # 3 full chunks and a partial one per group: pins the chunk streams and the
     # order in which chunk sums are combined, which one-chunk reports do not
     samples = 3 * CHUNK_SIZE + 333
     groups = (Group("a", dists[0]), Group("b", dists[1]))
