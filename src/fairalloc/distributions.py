@@ -7,6 +7,10 @@ E[min(C, v)] that availability and utilization are built from.
 Every variant has strictly positive mean. ``expected_min`` is nondecreasing
 and concave in ``v``, bounded by ``min(v, mean)``, with slope ``Pr[C > v]``
 at continuity points.
+
+Binomial and Poisson share one lattice implementation, ``_Lattice``: one tail
+span, mean +- (10 sd + 40) in the support, and knot tables that end at the
+budget or at the first zero survival, past which E[min] is flat.
 """
 
 from __future__ import annotations
@@ -232,16 +236,6 @@ class TwoPoint(DemandDistribution):
         )
 
 
-def _smallest_point_with_cdf_at_least(p, guess, cdf_at, upper):
-    """Adjust an approximate integer quantile to the smallest m with cdf(m) >= p."""
-    m = min(max(0, guess), upper)
-    while m < upper and cdf_at(m) < p:
-        m += 1
-    while m > 0 and cdf_at(m - 1) >= p:
-        m -= 1
-    return float(m)
-
-
 class _GuideTable:
     """Inversion sampling over a finite law by a cdf with a guide table.
 
@@ -276,38 +270,121 @@ class _GuideTable:
         return self.values[idx]
 
 
-def _lattice_pmf(mean, sd, top, log_step):
-    """(points, pmf) over the integers in [0, top] within 10 sd + 40 of the mean.
+class _Lattice(DemandDistribution):
+    """A law on the integers 0..support_max(), from a family's vectorized hooks.
 
-    By Bernstein's inequality each tail past that range holds less than
-    e**-50, far below 2**-53, the spacing of the uniforms, so the points
-    cover every draw. ``log_step(k)`` is log pmf(k + 1) - log pmf(k). The
-    log weights are summed outward from the mean: the largest is about 0,
-    so nothing like e**-lambda, which underflows for lambda > 745, is ever
-    formed, and the rounding of the sums stays off the bulk of the law.
-    None past 1 << 20 points, the cap of the knot tables.
+    A family gives ``_cdf_at(k)``, ``_sf_at(k)`` and ``_size_biased_cdf_at(k,
+    cdf=None)`` at integers k, its quantile guess ``_guess(p)``, its standard
+    deviation ``_sd()``, ``_log_pmf_ratio(k)`` = log pmf(k + 1) - log pmf(k),
+    and ``_numpy_sample(rng, size)``; the rest is written once, here.
     """
-    spread = 10.0 * sd + 40.0
-    lo = max(0, math.floor(mean - spread))
-    hi = min(top, math.ceil(mean + spread))
-    if hi - lo >= 1 << 20:
-        return None
-    ks = np.arange(lo, hi + 1, dtype=float)
-    steps = log_step(ks[:-1])
-    start = min(max(round(mean), lo), hi) - lo
-    log_w = np.zeros(ks.size)
-    log_w[start + 1:] = np.cumsum(steps[start:])
-    log_w[:start] = -np.cumsum(steps[:start][::-1])[::-1]
-    weights = np.exp(log_w)
-    return ks, weights / weights.sum()
 
+    def cdf(self, x: float) -> float:
+        if x < 0.0:
+            return 0.0
+        if x >= self.support_max():
+            return 1.0
+        return float(self._cdf_at(math.floor(x)))
 
-def _lattice_table(lattice) -> Optional[_GuideTable]:
-    return None if lattice is None else _GuideTable(np.cumsum(lattice[1]), lattice[0])
+    def survival(self, x: float) -> float:
+        if x < 0.0:
+            return 1.0
+        if x >= self.support_max():
+            return 0.0
+        return float(self._sf_at(math.floor(x)))
+
+    def _span(self) -> tuple[int, int]:
+        """(lo, hi): the integers within 10 sd + 40 of the mean, in the support.
+
+        By Bernstein's inequality each tail past it holds less than e**-50,
+        far below 2**-53, the spacing of the uniforms, so it covers every
+        draw. The knot-table and quantile searches start at its top.
+        """
+        spread = 10.0 * self._sd() + 40.0
+        mean = self.mean()
+        return max(0, math.floor(mean - spread)), int(min(self.support_max(), math.ceil(mean + spread)))
+
+    def _tail_point(self, done) -> int:
+        """The span's top, doubled until done(k) holds or k is the support's top."""
+        k = self._span()[1]
+        while k < self.support_max() and not done(k):
+            k = int(min(2 * k, self.support_max()))
+        return k
+
+    def _quantile(self, p: float) -> float:
+        if self._cdf_at(0) >= p:
+            return 0.0
+        guess = self._guess(p)
+        if not math.isfinite(guess):
+            guess = self.mean()
+        upper = self._tail_point(lambda k: self._cdf_at(k) >= p)
+        m = min(max(0, math.ceil(guess - 1e-9)), upper)
+        while m < upper and self._cdf_at(m) < p:
+            m += 1
+        while m > 0 and self._cdf_at(m - 1) >= p:
+            m -= 1
+        return float(m)
+
+    def _expected_min(self, v: float) -> float:
+        # sum_{x<=m} x pmf(x) = mean Pr[X* - 1 <= m - 1] for the size-biased
+        # law X*, so the truncated moment needs no explicit pmf summation.
+        if v >= self.support_max():
+            return self.mean()
+        m = math.floor(v)
+        partial = self.mean() * float(self._size_biased_cdf_at(m - 1)) if m >= 1 else 0.0
+        return partial + v * float(self._sf_at(m))
+
+    def expected_min_knots(self, cap):
+        # ends at the cap or at the first zero survival, past which it is flat
+        end = self._tail_point(lambda k: k >= cap or self._sf_at(k) == 0.0)
+        top = min(math.ceil(cap), end)
+        if top > 1 << 20:
+            return None
+        ks = np.arange(top + 1, dtype=float)
+        sfs = self._sf_at(ks)
+        zeros = np.flatnonzero(sfs == 0.0)
+        if zeros.size:
+            ks, sfs = ks[: zeros[0] + 1], sfs[: zeros[0] + 1]
+        cdfs = self._cdf_at(ks)
+        below = np.zeros(ks.size)
+        below[1:] = self._size_biased_cdf_at(ks[:-1], cdfs[:-1])
+        ems = self.mean() * below + ks * sfs
+        return (ks.tolist(), cdfs.tolist(), sfs.tolist(), ems.tolist())
+
+    def _lattice(self):
+        """(points, pmf) over the span; None past 1 << 20 points, the cap of the knot tables.
+
+        The log weights are summed outward from the mean: the largest is
+        about 0, so nothing like e**-lambda, which underflows for lambda >
+        745, is ever formed, and the rounding of the sums stays off the bulk
+        of the law.
+        """
+        lo, hi = self._span()
+        if hi - lo >= 1 << 20:
+            return None
+        ks = np.arange(lo, hi + 1, dtype=float)
+        steps = self._log_pmf_ratio(ks[:-1])
+        start = min(max(round(self.mean()), lo), hi) - lo
+        log_w = np.zeros(ks.size)
+        log_w[start + 1:] = np.cumsum(steps[start:])
+        log_w[:start] = -np.cumsum(steps[:start][::-1])[::-1]
+        weights = np.exp(log_w)
+        return ks, weights / weights.sum()
+
+    @functools.cached_property
+    def _table(self) -> Optional[_GuideTable]:
+        lattice = self._lattice()
+        return None if lattice is None else _GuideTable(np.cumsum(lattice[1]), lattice[0])
+
+    def sample(self, rng, size=None):
+        if self._table is not None:
+            return self._table.sample(rng, size)
+        draws = self._numpy_sample(rng, size)
+        return float(draws) if size is None else draws.astype(float)
 
 
 @dataclass(frozen=True)
-class Binomial(DemandDistribution):
+class Binomial(_Lattice):
     """Number of candidates among n independent members, each active w.p. p."""
 
     n: int
@@ -329,72 +406,34 @@ class Binomial(DemandDistribution):
     def mean(self) -> float:
         return self.n * self.p
 
-    def cdf(self, x: float) -> float:
-        if x < 0.0:
-            return 0.0
-        if x >= self.n:
-            return 1.0
-        return float(bdtr(math.floor(x), self.n, self.p))
-
-    def survival(self, x: float) -> float:
-        if x < 0.0:
-            return 1.0
-        if x >= self.n:
-            return 0.0
-        return float(bdtrc(math.floor(x), self.n, self.p))
-
-    def _quantile(self, p: float) -> float:
-        if bdtr(0.0, self.n, self.p) >= p:
-            return 0.0
-        guess = bdtrik(p, self.n, self.p)
-        if not math.isfinite(guess):
-            guess = self.mean()
-        return _smallest_point_with_cdf_at_least(
-            p, int(math.ceil(guess - 1e-9)), lambda m: bdtr(m, self.n, self.p), self.n
-        )
-
-    def _expected_min(self, v: float) -> float:
-        # sum_{x<=m} x pmf(x) = n p Pr[Bin(n-1, p) <= m-1], so the truncated
-        # moment needs no explicit pmf summation.
-        if v >= self.n:
-            return self.mean()
-        m = math.floor(v)
-        partial = self.mean() * float(bdtr(m - 1, self.n - 1, self.p)) if m >= 1 else 0.0
-        return partial + v * float(bdtrc(m, self.n, self.p))
-
-    def _lattice(self):
-        odds = self.p / (1.0 - self.p)
-        return _lattice_pmf(self.mean(), math.sqrt(self.mean() * (1.0 - self.p)), self.n,
-                            lambda k: np.log((self.n - k) / (k + 1.0) * odds))
-
-    @functools.cached_property
-    def _table(self) -> Optional[_GuideTable]:
-        return _lattice_table(self._lattice())
-
-    def sample(self, rng, size=None):
-        if self._table is not None:
-            return self._table.sample(rng, size)
-        draws = rng.binomial(self.n, self.p, size)
-        return float(draws) if size is None else draws.astype(float)
-
     def support_max(self) -> float:
         return float(self.n)
 
-    def expected_min_knots(self, cap):
-        top = min(self.n, math.ceil(cap))
-        if top > 1 << 20:
-            return None
-        ks = np.arange(top + 1, dtype=float)
-        cdfs = bdtr(ks, self.n, self.p)
-        sfs = bdtrc(ks, self.n, self.p)
-        below = np.zeros(top + 1)
-        below[1:] = bdtr(ks[:-1], self.n - 1, self.p)
-        ems = self.mean() * below + ks * sfs
-        return (ks.tolist(), cdfs.tolist(), sfs.tolist(), ems.tolist())
+    def _cdf_at(self, k):
+        return bdtr(k, self.n, self.p)
+
+    def _sf_at(self, k):
+        return bdtrc(k, self.n, self.p)
+
+    def _size_biased_cdf_at(self, k, cdf=None):
+        # x pmf(x) / (n p) is the pmf of 1 + Bin(n - 1, p)
+        return bdtr(k, self.n - 1, self.p)
+
+    def _guess(self, p):
+        return bdtrik(p, self.n, self.p)
+
+    def _sd(self):
+        return math.sqrt(self.mean() * (1.0 - self.p))
+
+    def _log_pmf_ratio(self, k):
+        return np.log((self.n - k) / (k + 1.0) * (self.p / (1.0 - self.p)))
+
+    def _numpy_sample(self, rng, size):
+        return rng.binomial(self.n, self.p, size)
 
 
 @dataclass(frozen=True)
-class Poisson(DemandDistribution):
+class Poisson(_Lattice):
     """Poisson candidate counts with rate ``lam``."""
 
     lam: float
@@ -407,74 +446,31 @@ class Poisson(DemandDistribution):
     def mean(self) -> float:
         return self.lam
 
-    def cdf(self, x: float) -> float:
-        if x < 0.0:
-            return 0.0
-        return float(pdtr(math.floor(x), self.lam))
-
-    def survival(self, x: float) -> float:
-        if x < 0.0:
-            return 1.0
-        return float(pdtrc(math.floor(x), self.lam))
-
-    def _quantile(self, p: float) -> float:
-        if pdtr(0.0, self.lam) >= p:
-            return 0.0
-        guess = pdtrik(p, self.lam)
-        if not math.isfinite(guess):
-            guess = self.lam
-        upper = self._tail_guess()
-        while pdtr(upper, self.lam) < p:
-            upper *= 2
-        return _smallest_point_with_cdf_at_least(
-            p, int(math.ceil(guess - 1e-9)), lambda m: pdtr(m, self.lam), upper
-        )
-
-    def _expected_min(self, v: float) -> float:
-        # sum_{x<=m} x pmf(x) = lam Pr[Poi(lam) <= m-1].
-        m = math.floor(v)
-        partial = self.lam * float(pdtr(m - 1, self.lam)) if m >= 1 else 0.0
-        return partial + v * float(pdtrc(m, self.lam))
-
-    def _lattice(self):
-        return _lattice_pmf(self.lam, math.sqrt(self.lam), math.inf,
-                            lambda k: np.log(self.lam / (k + 1.0)))
-
-    @functools.cached_property
-    def _table(self) -> Optional[_GuideTable]:
-        return _lattice_table(self._lattice())
-
-    def sample(self, rng, size=None):
-        if self._table is not None:
-            return self._table.sample(rng, size)
-        draws = rng.poisson(self.lam, size)
-        return float(draws) if size is None else draws.astype(float)
-
     def support_max(self) -> float:
         return math.inf
 
-    def _tail_guess(self) -> int:
-        """An integer in the law's far upper tail, where searches start."""
-        return int(self.lam + 40.0 * math.sqrt(self.lam) + 40.0)
+    def _cdf_at(self, k):
+        return pdtr(k, self.lam)
 
-    def expected_min_knots(self, cap):
-        # ends at the cap or at the first zero survival, past which it is flat
-        end = self._tail_guess()
-        while end < cap and pdtrc(end, self.lam) > 0.0:
-            end *= 2
-        top = min(math.ceil(cap), end)
-        if top > 1 << 20:
-            return None
-        ks = np.arange(top + 1, dtype=float)
-        sfs = pdtrc(ks, self.lam)
-        zeros = np.flatnonzero(sfs == 0.0)
-        if zeros.size:
-            ks, sfs = ks[: zeros[0] + 1], sfs[: zeros[0] + 1]
-        cdfs = pdtr(ks, self.lam)
-        below = np.zeros(ks.size)
-        below[1:] = cdfs[:-1]
-        ems = self.lam * below + ks * sfs
-        return (ks.tolist(), cdfs.tolist(), sfs.tolist(), ems.tolist())
+    def _sf_at(self, k):
+        return pdtrc(k, self.lam)
+
+    def _size_biased_cdf_at(self, k, cdf=None):
+        # x pmf(x) / lam is the pmf of 1 + Poi(lam): the law's own cdf, which
+        # a knot table passes in from its cdf column
+        return pdtr(k, self.lam) if cdf is None else cdf
+
+    def _guess(self, p):
+        return pdtrik(p, self.lam)
+
+    def _sd(self):
+        return math.sqrt(self.lam)
+
+    def _log_pmf_ratio(self, k):
+        return np.log(self.lam / (k + 1.0))
+
+    def _numpy_sample(self, rng, size):
+        return rng.poisson(self.lam, size)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import pdtr, pdtrc
+from scipy.special import bdtr, bdtrc, pdtr, pdtrc
 
 
 def binomial_pmf_fractions(n, p_frac):
@@ -57,19 +57,26 @@ def discrete_atoms(dist):
     raise ValueError(f"{kind} is not atom-supported")
 
 
-def poisson_knots_to_cap(lam, cap):
-    """Poisson knot table at every integer up to ceil(cap), the way it was
-    tabulated before tables ended at the law's tail.
+def lattice_knots_to_cap(dist, cap):
+    """Binomial or Poisson knot table at every integer up to ceil(cap), clipped
+    to the support, the way it was tabulated before tables ended at the law's
+    tail.
 
     The same elementwise scipy calls as the library, so a table that ends at
-    the tail must be an exact prefix of this one.
+    the tail must be an exact prefix of this one. Below each knot k, sum_{x<k}
+    x pmf(x) = mean Pr[X' <= k - 1], with X' ~ Bin(n - 1, p) or Poi(lam).
     """
-    ks = np.arange(math.ceil(cap) + 1, dtype=float)
-    cdfs = pdtr(ks, lam)
-    sfs = pdtrc(ks, lam)
-    below = np.zeros(ks.size)
-    below[1:] = cdfs[:-1]
-    ems = lam * below + ks * sfs
+    if dist.kind == "binomial":
+        n, p = dist.n, dist.p
+        ks = np.arange(min(math.ceil(cap), n) + 1, dtype=float)
+        cdfs, sfs, below = bdtr(ks, n, p), bdtrc(ks, n, p), bdtr(ks - 1.0, n - 1, p)
+        mean = n * p
+    else:
+        lam = mean = dist.lam
+        ks = np.arange(math.ceil(cap) + 1, dtype=float)
+        cdfs, sfs, below = pdtr(ks, lam), pdtrc(ks, lam), pdtr(ks - 1.0, lam)
+    below[0] = 0.0
+    ems = mean * below + ks * sfs
     return ks.tolist(), cdfs.tolist(), sfs.tolist(), ems.tolist()
 
 

@@ -267,30 +267,42 @@ def test_smooth_distributions_have_no_knots():
 
 
 def test_huge_budgets_get_tail_sized_knot_tables():
-    table = Poisson(5.0).expected_min_knots(5e7)
-    assert table is not None and len(table[0]) < 1_000  # ends at the tail, not the budget
+    for dist in (Poisson(5.0), Binomial(2_000_000, 1e-5)):
+        table = dist.expected_min_knots(5e7)
+        assert table is not None and len(table[0]) < 1_000  # ends at the tail, not the budget
     assert Poisson(2e6).expected_min_knots(5e7) is None  # the tail alone passes 2**20 knots
     assert Binomial(10, 0.5).expected_min_knots(5e7) is not None  # support caps the table
 
 
-@given(lam=st.floats(1e-3, 2_000.0), cap=st.floats(0.0, 20_000.0))
-@example(lam=5.0, cap=20_000.0)
-@example(lam=400.0, cap=1_366.0)
+@given(dist=st.one_of(st.floats(1e-3, 2_000.0).map(Poisson),
+                      st.builds(Binomial, st.integers(1, 5_000), st.floats(1e-4, 0.9999))),
+       cap=st.floats(0.0, 20_000.0))
+@example(dist=Poisson(5.0), cap=20_000.0)
+@example(dist=Poisson(400.0), cap=1_366.0)
+@example(dist=Binomial(5_000, 0.01), cap=20_000.0)
+@example(dist=Binomial(5_000, 0.5), cap=4_000.0)
 @settings(max_examples=150)
-def test_poisson_knot_tables_end_at_the_tail(lam, cap):
-    table = Poisson(lam).expected_min_knots(cap)
-    full = oracles.poisson_knots_to_cap(lam, cap)
+def test_lattice_knot_tables_end_at_the_tail(dist, cap):
+    table = dist.expected_min_knots(cap)
+    full = oracles.lattice_knots_to_cap(dist, cap)
     n = len(table[0])
     assert table == tuple(column[:n] for column in full)
     if n < len(full[0]):
-        # cut at the first zero survival: past it the budget-length table is flat
+        # cut at the first zero survival: past it the budget-length table is
+        # flat, up to the entry at a Binomial's n, where bdtr reads exactly 1
+        # and not 1 - 2**-53 as on the rest of the far tail; no cdf level lies
+        # between the two, and E[min] there is at most one ulp higher
         _, cdfs, sfs, ems = full
+        flat = len(cdfs) - (dist.kind == "binomial" and full[0][-1] == dist.n)
         assert sfs[n - 2] > 0.0
-        assert set(cdfs[n - 1:]) == {1.0}
         assert set(sfs[n - 1:]) == {0.0}
-        assert set(ems[n - 1:]) == {ems[n - 1]}
-        assert Poisson(lam).expected_min_knots(1e12) == table
-    assert n <= 4.0 * (lam + 40.0 * math.sqrt(lam) + 40.0) + 1.0
+        assert cdfs[n - 1] == 1.0 or dist.kind == "binomial" and cdfs[n - 1] == 1.0 - 2.0**-53
+        assert set(cdfs[n - 1:flat]) == {cdfs[n - 1]}
+        assert set(ems[n - 1:flat]) == {ems[n - 1]}
+        assert cdfs[-1] - cdfs[n - 1] <= 2.0**-53 and ems[-1] - ems[n - 1] <= math.ulp(dist.mean())
+        assert dist.expected_min_knots(1e12) == table
+    sd = _scipy_law(dist).std()
+    assert n <= 4.0 * (dist.mean() + 40.0 * sd + 40.0) + 1.0
 
 
 @given(dist=strategies.large_empiricals(),
@@ -434,6 +446,12 @@ def test_lattice_tables_match_scipy_pmf(dist):
     ks = dist._table.values
     assert law.cdf(ks[0] - 1.0) < 2.0**-53 and law.sf(ks[-1]) < 2.0**-53
     assert dist._table.cdf[-1] == 1.0
+
+
+@pytest.mark.parametrize("dist", LATTICE, ids=ids)
+def test_lattice_cdf_and_survival_at_infinity(dist):
+    assert dist.cdf(math.inf) == 1.0 and dist.survival(math.inf) == 0.0
+    assert dist.cdf(-math.inf) == 0.0 and dist.survival(-math.inf) == 1.0
 
 
 @pytest.mark.parametrize("dist", [d for d in LATTICE if d.mean() < 1e4], ids=ids)
