@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
@@ -95,20 +94,23 @@ def write(text: str, path) -> None:
 def _emit(args, sf, settings: dict, result: dict, csv_rows, summary: str) -> None:
     """Write the report for args.command and its one-line summary.
 
-    The JSON envelope leads its settings with the scenario path; the CSV
-    form carries the version and input digest on every row, and its header
-    is the first row's keys.
+    The JSON report is exactly json.dumps(envelope, indent=2) plus a newline,
+    and its envelope leads its settings with the scenario path. csv_rows is
+    an iterable of row dicts that only the CSV form reads: it carries the
+    version and input digest on every row, and its header is the first
+    row's keys.
     """
     envelope = scenario_io.report_envelope(
         args.command, {"scenario": args.scenario, **settings}, sf.digest, result
     )
     if args.format == "csv":
-        for row in csv_rows:
+        rows = list(csv_rows)
+        for row in rows:
             row.setdefault("tool_version", envelope["version"])
             row.setdefault("input_digest", envelope["input_digest"])
-        text = scenario_io.rows_to_csv(csv_rows, list(csv_rows[0]))
+        text = scenario_io.rows_to_csv(rows, list(rows[0]))
     else:
-        text = json.dumps(envelope, indent=2) + "\n"
+        text = scenario_io.dumps_report(envelope) + "\n"
     write(text, args.output)
     print(summary, file=sys.stderr)
 
@@ -228,15 +230,15 @@ def _cmd_pof(args, sf) -> None:
 def _cmd_curve(args, sf) -> None:
     scenario = sf.scenario
     v_max = args.v_max if args.v_max is not None else 2.0 * max(scenario.means)
-    rows = []
-    series = {}
-    for group in scenario.groups:
-        table = scenario_io.emit_availability_curve(group.dist, v_max, args.steps)
-        series[group.name] = [[v, q, em] for v, q, em in table]
-        rows.extend(
-            {"group": group.name, "v": v, "availability": q, "expected_min": em}
-            for v, q, em in table
-        )
+    series = {
+        group.name: scenario_io.emit_availability_curve(group.dist, v_max, args.steps)
+        for group in scenario.groups
+    }
+    rows = (
+        {"group": name, "v": v, "availability": q, "expected_min": em}
+        for name, table in series.items()
+        for v, q, em in table
+    )
     _emit(args, sf, {"v_max": v_max, "steps": args.steps},
           {"v_max": v_max, "steps": args.steps, "series": series},
           rows, f"curves for {scenario.size} groups over [0, {v_max}] in {args.steps} steps")

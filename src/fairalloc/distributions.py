@@ -308,7 +308,9 @@ class _Lattice(DemandDistribution):
         """The span's top, doubled until done(k) holds or k is the support's top."""
         k = self._span()[1]
         while k < self.support_max() and not done(k):
-            k = int(min(2 * k, self.support_max()))
+            # stop once at 1 << 20, the knot tables' cap, so no table that fits is passed over
+            step = 2 * k if k >= 1 << 20 else min(2 * k, 1 << 20)
+            k = int(min(step, self.support_max()))
         return k
 
     def _quantile(self, p: float) -> float:

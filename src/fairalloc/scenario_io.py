@@ -12,7 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Optional
 
 from . import __version__
@@ -223,22 +225,100 @@ def emit_availability_curve(dist: DemandDistribution, v_max: float, steps: int):
     return rows
 
 
+_CSV_SPECIAL = re.compile(r'[",\r\n]')
+
+
+def _csv_quote(text: str) -> str:
+    """text as an RFC 4180 cell: quoted, with inner quotes doubled, if it holds , " CR or LF."""
+    return '"' + text.replace('"', '""') + '"' if _CSV_SPECIAL.search(text) else text
+
+
 def format_value(value) -> str:
-    """CSV cell formatting: 17 significant digits for floats, '.' decimal."""
+    """CSV cell formatting: 17 significant digits for floats, '.' decimal, RFC 4180 quoting."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.17g}"
     if value is None:
         return ""
-    return str(value)
+    return _csv_quote(str(value))
+
+
+def _csv_column(values: list) -> list:
+    """format_value over one column, with all-float and all-str columns done in bulk."""
+    types = set(map(type, values))
+    if types == {float}:
+        return list(map(format, values, repeat(".17g")))
+    if types == {str}:
+        return list(map(_csv_quote, values)) if any(map(_CSV_SPECIAL.search, set(values))) else values
+    return list(map(format_value, values))
 
 
 def rows_to_csv(rows, columns) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(format_value(row.get(col)) for col in columns))
+    """CSV text of the dicts in rows: a header of columns, then one line per row.
+
+    A key a row lacks gives an empty cell; every cell is format_value's.
+    The cells are formatted one column at a time, which costs little more
+    than the float formatting itself. columns must be non-empty.
+    """
+    cells = [_csv_column([row.get(col) for row in rows]) for col in columns]
+    lines = [",".join(map(_csv_quote, columns)), *map(",".join, zip(*cells))]
     return "\n".join(lines) + "\n"
+
+
+def _is_table(value) -> bool:
+    """Whether value is a non-empty list of non-empty rows of ints and floats (not bools)."""
+    # the first row is tested alone so that lists of scalars cost little; all(value): no empty row
+    return (
+        type(value) is list and len(value) > 0 and type(value[0]) in (list, tuple)
+        and set(map(type, value)) <= {list, tuple} and all(value)
+        and set(map(type, chain.from_iterable(value))) <= {int, float}
+    )
+
+
+def _holds_table(obj: dict) -> bool:
+    """Whether a table is a value of obj or of a dict nested in it."""
+    for value in obj.values():
+        if type(value) is dict:
+            if _holds_table(value):
+                return True
+        elif _is_table(value):
+            return True
+    return False
+
+
+def _dumps_nested(obj, pad: str) -> str:
+    """json.dumps(obj, indent=2) as it reads pad deep, with its tables through the C encoder.
+
+    A table is one compact json.dumps call, its rows and cells then broken
+    onto lines by replacing "], [" and ", ", which number text never holds.
+    """
+    if _is_table(obj):
+        rows, cells = pad + "  ", pad + "    "
+        body = json.dumps(obj)[2:-2].replace("], [", f"\n{rows}],\n{rows}[\n{cells}")
+        body = body.replace(", ", f",\n{cells}")
+        return f"[\n{rows}[\n{cells}{body}\n{rows}]\n{pad}]"
+    if type(obj) is dict and _holds_table(obj) and all(type(key) is str for key in obj):
+        inner = pad + "  "
+        items = ",\n".join(
+            f"{inner}{json.dumps(key)}: {_dumps_nested(value, inner)}" for key, value in obj.items()
+        )
+        return f"{{\n{items}\n{pad}}}"
+    # a JSON string holds no raw newline, so re-padding a plain dump's lines is safe
+    text = json.dumps(obj, indent=2)
+    return text.replace("\n", "\n" + pad) if pad else text
+
+
+def dumps_report(obj) -> str:
+    """Exactly json.dumps(obj, indent=2), with number tables through the C encoder.
+
+    With indent, json.dumps runs its pure-Python encoder, which spends most
+    of a curve report's time on its thousands of rows. A table is a dict
+    value that is a non-empty list of non-empty rows of ints and floats; a
+    report without one costs a single json.dumps call after a walk over its
+    dicts.
+    """
+    return _dumps_nested(obj, "")
 
 
 def report_envelope(command: str, settings: dict, digest: Optional[str], result: dict) -> dict:

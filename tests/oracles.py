@@ -276,3 +276,26 @@ def mc_report_reference(scenario, values, samples, seed, chunk_size):
         "samples": samples,
         "seed": seed,
     }
+
+
+def csv_cell(value) -> str:
+    """One CSV cell: 17 significant digits for floats, true/false, empty for None,
+    and RFC 4180 quotes (inner quotes doubled) around text holding , " CR or LF."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if value is None:
+        return ""
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def rows_to_csv_rowwise(rows, columns) -> str:
+    """``rows_to_csv`` written row by row: each row's cells formatted and joined in turn."""
+    lines = [",".join(map(csv_cell, columns))]
+    for row in rows:
+        lines.append(",".join(csv_cell(row.get(col)) for col in columns))
+    return "\n".join(lines) + "\n"

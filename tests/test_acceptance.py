@@ -285,29 +285,37 @@ def test_criterion_11_curve_emission(tmp_path, capsys):
             }
         )
     )
-    out_path = tmp_path / "curve.csv"
-    code = cli.main(
-        ["curve", "--scenario", str(scenario_path), "--v-max", "200", "--steps", "201",
-         "--format", "csv", "--output", str(out_path)]
-    )
-    capsys.readouterr()
-    if code != 0:
-        problems.append(f"curve command exited {code}")
-    else:
-        lines = out_path.read_text().strip().split("\n")
-        series = {}
-        for line in lines[1:]:
+    reports = {}
+    for fmt in ("csv", "json"):
+        out_path = tmp_path / f"curve.{fmt}"
+        code = cli.main(
+            ["curve", "--scenario", str(scenario_path), "--v-max", "200", "--steps", "201",
+             "--format", fmt, "--output", str(out_path)]
+        )
+        capsys.readouterr()
+        if code != 0:
+            problems.append(f"curve --format {fmt} exited {code}")
+        else:
+            reports[fmt] = out_path.read_text()
+    if len(reports) == 2:
+        csv_series = {}
+        for line in reports["csv"].strip().split("\n")[1:]:
             name, _, q, _ = line.split(",")[:4]
-            series.setdefault(name, []).append(float(q))
-        for name, qs in series.items():
-            if len(qs) != 201:
-                problems.append(f"{name}: {len(qs)} rows != 201")
-            if any(b < a - 1e-12 for a, b in zip(qs, qs[1:])):
-                problems.append(f"{name}: availability not nondecreasing")
-        if abs(series["const"][-1] - 1.0) > 1e-9:
-            problems.append(f"constant curve ends at {series['const'][-1]!r} != 1")
-        if series["gauss"][-1] < 0.999:
-            problems.append(f"normal curve ends at {series['gauss'][-1]!r} < 0.999")
+            csv_series.setdefault(name, []).append(float(q))
+        json_series = {name: [q for _, q, _ in rows]
+                       for name, rows in json.loads(reports["json"])["result"]["series"].items()}
+        if json_series != csv_series:
+            problems.append("json and csv curves differ")
+        for fmt, series in (("csv", csv_series), ("json", json_series)):
+            for name, qs in series.items():
+                if len(qs) != 201:
+                    problems.append(f"{fmt} {name}: {len(qs)} rows != 201")
+                if any(b < a - 1e-12 for a, b in zip(qs, qs[1:])):
+                    problems.append(f"{fmt} {name}: availability not nondecreasing")
+            if abs(series["const"][-1] - 1.0) > 1e-9:
+                problems.append(f"{fmt} constant curve ends at {series['const'][-1]!r} != 1")
+            if series["gauss"][-1] < 0.999:
+                problems.append(f"{fmt} normal curve ends at {series['gauss'][-1]!r} < 0.999")
     _criterion(11, "availability curves are monotone and saturate", problems)
 
 

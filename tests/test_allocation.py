@@ -792,3 +792,13 @@ def test_huge_poisson_budgets_take_knot_curves_with_the_same_allocation():
             == allocation_module._max_fill(smooth, sc.resource))
     assert (allocation_module._alpha_fair(sc, 0.05, curves)
             == allocation_module._alpha_fair(sc, 0.05, smooth))
+
+
+def test_lattice_tables_near_the_knot_cap_give_the_smooth_allocation():
+    # the budget passes 2**20 and both tables end near 5.6e5 knots
+    sc = scenario(1.06e6, Poisson(5.3e5), Binomial(2_000_000, 0.27))
+    curves = allocation_module._prologue(sc)[1]
+    assert [type(c) for c in curves] == [allocation_module._KnotCurve] * 2
+    smooth = [allocation_module._SmoothCurve(g.dist, sc.resource) for g in sc.groups]
+    assert (allocation_module._max_fill(curves, sc.resource)
+            == allocation_module._max_fill(smooth, sc.resource))

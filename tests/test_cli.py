@@ -1,8 +1,12 @@
+import csv
+import io
 import json
 import pathlib
 
 import pytest
 
+import oracles
+from fairalloc import __version__, scenario_io
 from fairalloc import allocation as allocation_module
 from fairalloc import cli
 from fairalloc.cli import DEFAULT_SEED, EXIT_OK, EXIT_OPTIMIZER, EXIT_VALIDATION, main
@@ -293,6 +297,51 @@ def test_curve_csv_monotone(capsys, tmp_path):
         assert all(b >= a - 1e-12 for a, b in zip(qs, qs[1:]))
     assert by_group["const"][-1] == pytest.approx(1.0, abs=1e-9)
     assert by_group["gauss"][-1] >= 0.999
+
+
+MIX7 = pathlib.Path(__file__).parent / "golden" / "scenarios" / "mix7_rz09.json"
+
+
+def test_curve_reports_at_benchmark_size_round_trip(capsys):
+    # seven families at the benchmark's 2,001 steps: 14,007 rows
+    sf = scenario_io.load_scenario_path(str(MIX7))
+    argv = ["curve", "--scenario", str(MIX7), "--steps", "2001"]
+    code, text, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    result = json.loads(text)["result"]
+    tables = {g.name: scenario_io.emit_availability_curve(g.dist, result["v_max"], 2001)
+              for g in sf.scenario.groups}
+    for name, table in tables.items():
+        assert [[x.hex() for x in row] for row in result["series"][name]] \
+            == [[float.hex(x) for x in row] for row in table]
+    code, text, _ = run(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK
+    rows = [{"group": name, "v": v, "availability": q, "expected_min": em,
+             "tool_version": __version__, "input_digest": sf.digest}
+            for name, table in tables.items() for v, q, em in table]
+    assert text == oracles.rows_to_csv_rowwise(rows, list(rows[0]))
+
+
+@pytest.mark.parametrize("command,flags,key", [
+    ("allocate", [], "group"),
+    ("certify", ["--epsilon", "0.2", "--delta", "0.05"], "group"),
+    ("curve", ["--steps", "3"], "group"),
+    ("mc-check", ["--samples", "1000"], "quantity"),
+])
+def test_csv_cells_holding_commas_quotes_and_newlines_are_quoted(capsys, tmp_path, command, flags,
+                                                                 key):
+    names = ['north, "east"', "line\nbreak", "plain"]
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps({"resource": 60, "groups": [
+        {"name": name, "distribution": {"kind": "poisson", "lambda": 30}} for name in names]}))
+    code, out, _ = run(capsys, command, "--scenario", str(path), "--format", "csv", *flags)
+    assert code == EXIT_OK
+    header, *rows = csv.reader(io.StringIO(out))
+    assert all(len(row) == len(header) for row in rows)
+    cells = [row[header.index(key)] for row in rows]
+    for name in names:
+        assert any(cell == name or cell.endswith(f"[{name}]") for cell in cells)
 
 
 def test_mc_check_reports_pass_column(capsys, poisson3):

@@ -274,6 +274,17 @@ def test_huge_budgets_get_tail_sized_knot_tables():
     assert Binomial(10, 0.5).expected_min_knots(5e7) is not None  # support caps the table
 
 
+def test_lattice_tables_near_the_knot_cap_are_built():
+    # The first zero survival of each law lies near 5.6e5; a search doubling
+    # from the span's top once stepped past 2**20 and gave up on both tables.
+    for dist in (Poisson(5.3e5), Binomial(2_000_000, 0.27)):
+        table = dist.expected_min_knots(5e7)
+        assert table is not None
+        n = len(table[0])
+        assert table[2][-1] == 0.0 < table[2][-2]
+        assert table == oracles.lattice_knots_to_cap(dist, n - 1)
+
+
 @given(dist=st.one_of(st.floats(1e-3, 2_000.0).map(Poisson),
                       st.builds(Binomial, st.integers(1, 5_000), st.floats(1e-4, 0.9999))),
        cap=st.floats(0.0, 20_000.0))
@@ -576,10 +587,13 @@ def test_empirical_merges_duplicate_atoms():
         max_size=60,
     )
 )
+@example(atoms=[(0.0, 1.0), (0.5, 5e-324)])
 def test_empirical_merge_sums_repeated_atoms_in_input_order(atoms):
     weights = np.array([w for _, w in atoms])
     assume(any(x > 0.0 and w > 0.0 for x, w in atoms))
     probs = weights / weights.sum()
+    # a law whose mean underflows to 0 (0.5 * 5e-324) is rejected, not merged
+    assume(any(x * p > 0.0 for (x, _), p in zip(atoms, probs.tolist())))
     total = float(probs.sum())
     merged = {}
     for (x, _), p in zip(atoms, probs.tolist()):

@@ -1,11 +1,16 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import oracles
 from fairalloc.distributions import Normal, Poisson, TwoPoint
 from fairalloc.scenario_io import (
     ScenarioError,
+    dumps_report,
     emit_availability_curve,
     format_value,
     input_digest,
@@ -272,6 +277,85 @@ def test_rows_to_csv_layout():
     assert lines[0] == "a,b"
     assert lines[1] == "1,0.5"
     assert lines[2] == "2,"
+
+
+def test_rows_to_csv_quotes_cells_per_rfc_4180():
+    rows = [{"a": 'north, "east"', "b": 1.5}, {"a": "plain", "b": "line\nbreak"}]
+    text = rows_to_csv(rows, ["a", "b"])
+    assert text == 'a,b\n"north, ""east""",1.5\nplain,"line\nbreak"\n'
+
+
+# All-float and all-text columns take rows_to_csv's bulk paths; int columns
+# and mixed ones, with bools, None and np.float64, take the per-cell one.
+_SPECIAL_TEXT = st.sampled_from([", ", "], [", "a\nb", "a\rb", '"q"', 'x, "y"\r\n', "\u00e9t\u00e9"])
+_TEXT = st.text(max_size=6) | _SPECIAL_TEXT
+_CSV_COLUMNS = st.sampled_from([
+    st.floats(),
+    _TEXT,
+    st.integers(),
+    st.floats() | st.integers() | st.booleans() | st.none() | _TEXT | st.floats().map(np.float64),
+])
+
+
+@given(data=st.data(),
+       columns=st.lists(st.text(min_size=1, max_size=4) | _SPECIAL_TEXT, min_size=1, max_size=5,
+                        unique=True),
+       count=st.sampled_from([0, 1, 2, 37]))
+def test_rows_to_csv_matches_the_row_by_row_writer(data, columns, count):
+    cells = {col: data.draw(_CSV_COLUMNS) for col in columns}
+    optional = set(data.draw(st.lists(st.sampled_from(columns), max_size=2)))
+    rows = data.draw(st.lists(
+        st.fixed_dictionaries({c: v for c, v in cells.items() if c not in optional},
+                              optional={c: cells[c] for c in optional}),
+        min_size=count, max_size=count))
+    assert rows_to_csv(rows, columns) == oracles.rows_to_csv_rowwise(rows, columns)
+
+
+_CELLS = st.sampled_from(
+    [0, 1, -3, 10**20, -(10**20), 0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 5e-324, 2.5e-310]
+) | st.integers() | st.floats()
+_ROWS = st.lists(_CELLS, min_size=1, max_size=4)
+_TABLES = st.lists(_ROWS | _ROWS.map(tuple), min_size=1, max_size=5)
+# lists the fast path must leave alone: empty tables and rows, rows of bools,
+# None or text, ragged rows, flat lists of numbers
+_NEAR_TABLES = st.lists(
+    st.lists(_CELLS | st.booleans() | st.none() | _TEXT, max_size=3), max_size=4
+) | st.lists(_CELLS, max_size=3)
+_LEAVES = st.none() | st.booleans() | _CELLS | _TEXT | _TABLES | _NEAR_TABLES
+_REPORTS = st.recursive(
+    st.dictionaries(_TEXT, _LEAVES, max_size=4),
+    lambda children: st.dictionaries(_TEXT, _LEAVES | children, max_size=4)
+    | st.lists(children, max_size=3) | st.lists(children, max_size=3).map(tuple),
+    max_leaves=12,
+)
+
+
+@given(_REPORTS)
+@example({"series": {"a": [(0.0, 0.5, 1.0), (1.0, 1.0, 2.0)], "b": [[1, 2], [3]]}, "n": 2})
+@example({"t": [[True, 1.0]], "e": [], "r": [[]], "s": [["], [", 1.0]], "x": {1: [[1.0]]}})
+@example({"a\nb": {", ": [[-0.0, math.nan, 10**20]]}, "], [": "x, \"y\"\n"})
+@example([{"t": [[1.0]]}])
+def test_dumps_report_is_json_dumps_with_indent(obj):
+    assert dumps_report(obj) == json.dumps(obj, indent=2)
+
+
+def test_dumps_report_encodes_tables_compactly_and_other_reports_in_one_call(monkeypatch):
+    calls = []
+    dumps = json.dumps
+
+    def counting(obj, **kwargs):
+        calls.append((obj, kwargs.get("indent")))
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting)
+    report = {"a": {"b": [1.0, 2.0]}, "rows": [{"c": [[1.0]]}]}
+    dumps_report(report)
+    assert calls == [(report, 2)]
+    calls.clear()
+    tables = [(0.0, 0.5, 1.0)] * 3, [[1, 2], [3, 4]]
+    dumps_report({"series": {"x": tables[0], "y": tables[1]}, "n": 1})
+    assert [obj for obj, indent in calls if indent == 2] == [1]
+    assert [obj for obj, indent in calls if isinstance(obj, list)] == list(tables)
 
 
 def test_report_envelope_fields():
