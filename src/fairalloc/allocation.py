@@ -27,7 +27,7 @@ from .metrics import Allocation, Scenario
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-V_TOLERANCE = 1e-9  # water-fill stops once the filled levels sum this close to the budget
+V_TOLERANCE = 1e-9  # water-fill stops once the filled levels sum within V_TOLERANCE min(R, 1) of R
 BISECTION_STEPS = 60  # water-fill halvings; Newton steps, then at most as many halvings, per crossing
 
 
@@ -168,16 +168,16 @@ class _Curve:
 
         return fill
 
-    def lowest_v_with_q_at_least(self, target: float) -> Optional[float]:
-        """Smallest v in [0, cap] with q(v) >= target, or None if unreachable."""
+    def lowest_v_with_q_at_least(self, target: float) -> float:
+        """Smallest v in [0, cap] with q(v) >= target, or inf if unreachable."""
         t = target * self.mu
         return 0.0 if self.em0 >= t else self._lowest(t)
 
-    def highest_v_with_q_at_most(self, target: float) -> Optional[float]:
-        """Largest v in [0, cap] with q(v) <= target, or None if q(0) > target."""
+    def highest_v_with_q_at_most(self, target: float) -> float:
+        """Largest v in [0, cap] with q(v) <= target, or -inf if q(0) > target."""
         t = target * self.mu
         if self.em0 > t:
-            return None
+            return -math.inf
         if self.em_cap <= t:
             return self.cap
         return self._highest(t)
@@ -208,13 +208,13 @@ class _KnotCurve(_Curve):
         idx = bisect.bisect_left(self.cdfs, s)
         return self.xs[idx] if idx < len(self.xs) else self.cap
 
-    def _lowest(self, t: float) -> Optional[float]:
+    def _lowest(self, t: float) -> float:
         ems = self.ems
         idx = bisect.bisect_left(ems, t)  # >= 1, since ems[0] = em0 < t
         if idx >= len(ems):
             sf = self.sfs[-1]
             if sf <= 0.0:
-                return None
+                return math.inf
             v = self.xs[-1] + (t - ems[-1]) / sf
         else:
             sf = self.sfs[idx - 1]
@@ -224,9 +224,9 @@ class _KnotCurve(_Curve):
             # overshoot even though the right knot already satisfies em >= t
             v = min(self.xs[idx - 1] + (t - ems[idx - 1]) / sf, self.xs[idx])
         if v > self.cap:
-            if self.em_cap >= t - 1e-12 * max(1.0, t):
+            if self.em_cap >= t - 1e-12 * t:
                 return self.cap
-            return None
+            return math.inf
         return v
 
     def _highest(self, t: float) -> float:
@@ -284,8 +284,8 @@ class _SmoothCurve(_Curve):
         self._last[strict] = v
         return v
 
-    def _lowest(self, t: float) -> Optional[float]:
-        return None if self.em_cap < t else self._newton(t, False)
+    def _lowest(self, t: float) -> float:
+        return math.inf if self.em_cap < t else self._newton(t, False)
 
     def _highest(self, t: float) -> float:
         return self._newton(t, True)
@@ -315,8 +315,8 @@ def _water_fill(curves, budget, lo, hi, known=(0.0, 1.0)):
     """Maximize sum of E[min(C_i, v_i)] s.t. sum v = budget, lo <= v <= hi.
 
     Bisects a common cdf level in [0, 1] until the levels sum to the budget
-    within V_TOLERANCE, the bracket cannot shrink or BISECTION_STEPS halvings
-    have run. When every curve has knots, each fill is constant between
+    within tol = V_TOLERANCE min(budget, 1), the bracket cannot shrink or
+    BISECTION_STEPS halvings have run. When every curve has knots, each fill is constant between
     adjacent knot cdf levels, so the loop also stops once both bracket ends
     have been evaluated (the s = 0 and s = 1 ends are lo and hi, not fills)
     and [s_lo, s_hi) holds at most one distinct level: every later midpoint
@@ -326,7 +326,7 @@ def _water_fill(curves, budget, lo, hi, known=(0.0, 1.0)):
     segment).
 
     known = (known_lo, known_hi) are levels whose branch is already known:
-    the fills sum below the budget (by more than V_TOLERANCE) at any level
+    the fills sum below the budget (by more than tol) at any level
     in (0, known_lo] and above it at any level in [known_hi, 1). A midpoint
     there takes its branch without evaluating the fills. When the known
     levels are right, each step moves the same end to the same dyadic
@@ -337,7 +337,8 @@ def _water_fill(curves, budget, lo, hi, known=(0.0, 1.0)):
     Returns (v, (s_lo, s_hi)): the allocation and the final bracket, whose
     ends carry the same facts for the caller to pass on.
     """
-    feas_tol = max(V_TOLERANCE, 1e-9 * max(budget, 1.0))
+    tol = V_TOLERANCE * min(budget, 1.0)
+    feas_tol = 1e-9 * budget
     sum_lo, sum_hi = sum(lo), sum(hi)
     if sum_lo > budget + feas_tol or sum_hi < budget - feas_tol:
         raise InfeasibleError(
@@ -364,7 +365,7 @@ def _water_fill(curves, budget, lo, hi, known=(0.0, 1.0)):
         else:
             v_mid = [fill(s_mid) for fill in fills]
             total = sum(v_mid)
-            if abs(total - budget) <= V_TOLERANCE:
+            if abs(total - budget) <= tol:
                 v_low = v_mid
                 break
             if total < budget:
@@ -394,12 +395,12 @@ def _water_fill(curves, budget, lo, hi, known=(0.0, 1.0)):
                 break
     remaining = budget - sum(v)
     if remaining != 0.0:
-        # signed dust: spread by index, allowing 1e-9 box overstep but never
-        # a negative allocation
+        # signed dust: spread by index, allowing a box overstep of tol but
+        # never a negative allocation
         for i in range(len(v)):
             if remaining == 0.0:
                 break
-            moved = min(max(v[i] + remaining, max(lo[i] - 1e-9, 0.0)), hi[i] + 1e-9)
+            moved = min(max(v[i] + remaining, max(lo[i] - tol, 0.0)), hi[i] + tol)
             remaining -= moved - v[i]
             v[i] = moved
     if abs(sum(v) - budget) > feas_tol:
@@ -458,6 +459,9 @@ def alpha_fair_optimal(scenario: Scenario, alpha: float) -> Allocation:
     water-filling. The best utilization is concave in ell, so one
     golden-section search over the whole interval finds the best floor.
     The result satisfies Q <= alpha + 1e-6 and sums to R within 1e-9 R.
+    Every tolerance in resource units is relative to R (to min(R, 1) below
+    R = 1), so scaling every law and R by one factor scales the allocation
+    by it, up to rounding.
     """
     alpha = metrics.check_alpha(alpha)
     shortcut, curves = _prologue(scenario)
@@ -500,8 +504,9 @@ def _feasible_floors(curves, budget, alpha):
     """(ell_min, ell_max, lows, highs): the floors whose boxes can meet the budget.
 
     lows(ell) are the least v reaching q = ell and highs(ell) the most v
-    keeping q <= ell + alpha (no top once the band reaches 1); None marks a
-    group that cannot meet its end of the band. Each floor's ends are
+    keeping q <= ell + alpha (no top once the band reaches 1); a group that
+    cannot meet its end of the band has a low end of inf or a high end of
+    -inf, so the sums carry the infeasibility. Each floor's ends are
     computed once, and callers must not change the lists. Raises
     InfeasibleError when no floor is feasible.
     """
@@ -521,26 +526,21 @@ def _feasible_floors(curves, budget, alpha):
     # outside feasibility and the clamped fill cannot meet the budget. A floor
     # fits while sum(lows) <= budget and reaches once sum(highs) >= budget.
     def lo_gap(ell):
-        lo = lows(ell)
-        return math.inf if None in lo else sum(lo) - budget
+        return sum(lows(ell)) - budget
 
     def hi_gap(ell):
-        hi = highs(ell)
-        return -math.inf if None in hi else sum(hi) - budget
+        return sum(highs(ell)) - budget
 
     # Slopes of the sums in ell from the right: group i adds dv/dq at its end,
-    # unless its end stays put there (at 0 below q_i(0), or at the cap).
+    # unless its end stays put there (at 0 below q_i(0), or at the cap). Only
+    # finite ends count; at an infinite gap the Newton step leaves the bracket
+    # whatever the slope, and _crossing halves instead.
     def lo_slope(ell):
-        lo = lows(ell)
-        if None in lo:
-            return 0.0
-        return sum(c.inverse_slope(v) for c, v in zip(curves, lo) if c.em0 <= ell * c.mu)
+        return sum(c.inverse_slope(v) for c, v in zip(curves, lows(ell))
+                   if c.em0 <= ell * c.mu and v < math.inf)
 
     def hi_slope(ell):
-        hi = highs(ell)
-        if None in hi:
-            return 0.0
-        return sum(c.inverse_slope(v) for c, v in zip(curves, hi) if v < c.cap)
+        return sum(c.inverse_slope(v) for c, v in zip(curves, highs(ell)) if -math.inf < v < c.cap)
 
     # The feasible floors form an interval: both sums are nondecreasing in
     # ell. No allocation has an availability below the lowest q_i(0), which
@@ -575,13 +575,12 @@ def _feasible_floors(curves, budget, alpha):
 
 def _floor_sweep(curves, budget, alpha):
     ell_min, ell_max, lows, highs = _feasible_floors(curves, budget, alpha)
+    slack = 1e-9 * min(budget, 1.0)  # a box inverted by no more than this is rounding
 
     def solve(ell, known):
         lo, hi = lows(ell), list(highs(ell))
-        if None in lo or None in hi:
-            return None
         for i, (low, high) in enumerate(zip(lo, hi)):
-            if high < low - 1e-9:
+            if high < low - slack:
                 return None
             hi[i] = max(high, low)
         try:

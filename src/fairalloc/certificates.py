@@ -44,7 +44,7 @@ def bennett_h(x: float) -> float:
     return 2.0 * ((1.0 + x) * math.log1p(x) - x) / (x * x)
 
 
-def _check_epsilon(epsilon: float) -> float:
+def check_epsilon(epsilon: float) -> float:
     epsilon = float(epsilon)
     if not 0.0 < epsilon < 1.0:
         raise CertificateError(f"epsilon must be in (0, 1), got {epsilon!r}")
@@ -69,7 +69,7 @@ def _snap_to_integer(x: float) -> float:
 
 def exact_lower_deviation(dist: DemandDistribution, epsilon: float) -> float:
     """Exact delta* = Pr[C <= (1-epsilon) E[C]], the tightest certificate."""
-    epsilon = _check_epsilon(epsilon)
+    epsilon = check_epsilon(epsilon)
     threshold = _snap_to_integer((1.0 - epsilon) * dist.mean())
     return dist.cdf(threshold)
 
@@ -79,7 +79,7 @@ def chernoff_delta(dist: DemandDistribution, epsilon: float) -> float:
 
     Always an upper bound on ``exact_lower_deviation`` for the same inputs.
     """
-    epsilon = _check_epsilon(epsilon)
+    epsilon = check_epsilon(epsilon)
     kind = dist.kind
     if kind == "binomial":
         return math.exp(-dist.mean() * epsilon * epsilon / 2.0)
@@ -107,7 +107,7 @@ def min_parameter_threshold(
     normal   -> minimum mu given sigma;
     poisson  -> minimum lambda.
     """
-    epsilon = _check_epsilon(epsilon)
+    epsilon = check_epsilon(epsilon)
     delta = check_delta(delta)
     log_inv = math.log(1.0 / delta)
     if family == "binomial":
@@ -155,8 +155,7 @@ class TailCertificate:
     per_group_deltas: tuple
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise CertificateError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
+        check_epsilon(self.epsilon)
         if not 0.0 <= self.delta < 1.0:
             raise CertificateError(f"delta must be in [0, 1), got {self.delta!r}")
         if self.method not in METHODS:
@@ -173,7 +172,7 @@ def scenario_certificate(
     scenario: "Scenario", epsilon: float, method: str = EXACT_CDF
 ) -> TailCertificate:
     """Per-group deltas plus their maximum, for a whole scenario."""
-    epsilon = _check_epsilon(epsilon)
+    epsilon = check_epsilon(epsilon)
     if method not in METHODS:
         raise CertificateError(f"unknown method {method!r}; expected one of {METHODS}")
     deltas = []
@@ -188,6 +187,11 @@ def scenario_certificate(
                     f"but group {group.name!r} is {group.dist.kind}"
                 )
             deltas.append(chernoff_delta(group.dist, epsilon))
+        if deltas[-1] >= 1.0:
+            raise CertificateError(
+                f"group {group.name!r} has a lower-deviation delta that rounds to 1 at "
+                f"epsilon={epsilon!r}, which certifies nothing"
+            )
     return TailCertificate(
         epsilon=epsilon, delta=max(deltas), method=method, per_group_deltas=tuple(deltas)
     )

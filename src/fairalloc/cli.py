@@ -15,12 +15,12 @@ import math
 import sys
 
 from . import allocation, certificates, metrics, montecarlo, scenario_io
+from .montecarlo import DEFAULT_SEED
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_OPTIMIZER = 2
 
-DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 1_000_000
 
 
@@ -334,7 +334,7 @@ def main(argv=None) -> int:
         sf = scenario_io.load_scenario_path(args.scenario)
         # A flag the command reads but was not given takes the scenario's
         # default; getattr's default skips the flags the command lacks.
-        for key, value in sf.defaults.to_dict().items():
+        for key, value in sf.defaults.items():
             if getattr(args, key, value) is None:
                 setattr(args, key, value)
         COMMANDS[args.command][0](args, sf)

@@ -58,9 +58,12 @@ class DemandDistribution(ABC):
     def cdf(self, x: float) -> float:
         """Pr[C <= x]; right-continuous for atom-supported variants."""
 
+    @abstractmethod
     def survival(self, x: float) -> float:
-        """Pr[C > x]; nonincreasing in x."""
-        return 1.0 - self.cdf(x)
+        """Pr[C > x]; nonincreasing in x.
+
+        Computed directly, not as 1 - cdf(x), which loses the deep upper tail.
+        """
 
     def quantile(self, p: float) -> float:
         """Smallest x with cdf(x) >= p, for p in (0, 1)."""

@@ -83,13 +83,13 @@ class Allocation:
 
 
 def check_allocation(scenario: Scenario, alloc: Allocation) -> None:
-    """Reject size mismatches and sums away from R beyond numerical dust."""
+    """Reject size mismatches and sums more than 1e-9 R away from R."""
     if len(alloc.values) != scenario.size:
         raise ValueError(
             f"allocation has {len(alloc.values)} entries for {scenario.size} groups"
         )
     budget = scenario.resource
-    if abs(alloc.total - budget) > 1e-9 * max(budget, 1.0):
+    if abs(alloc.total - budget) > 1e-9 * budget:
         raise ValueError(
             f"allocation sums to {alloc.total!r}, expected {budget!r}"
         )
@@ -252,6 +252,7 @@ def evaluate(
         cert = certificates.scenario_certificate(scenario, epsilon, method)
         tb = certificates.theoretical_bounds(cert, scenario, alpha)
         budget = scenario.resource
+        slack = 1e-9 * min(budget, 1.0)  # in resource units, so it scales with R below 1
         cap = min(budget, scenario.total_mean)
         util_bound = tb.utilization_fraction * cap
         util_bound_low = (
@@ -275,9 +276,9 @@ def evaluate(
                 if tb.fairness_bound_low_resource is not None
                 else None
             ),
-            utilization_ok=total >= util_bound - 1e-9,
+            utilization_ok=total >= util_bound - slack,
             utilization_low_resource_ok=(
-                total >= util_bound_low - 1e-9 if util_bound_low is not None else None
+                total >= util_bound_low - slack if util_bound_low is not None else None
             ),
         )
     group_reports = tuple(

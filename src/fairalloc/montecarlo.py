@@ -21,6 +21,7 @@ from .distributions import DemandDistribution
 from .metrics import Allocation, Scenario, check_allocation
 
 CHUNK_SIZE = 1 << 16
+DEFAULT_SEED = 42
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class McEstimate:
         return asdict(self)
 
 
-def _check_samples(samples: int) -> int:
+def check_samples(samples: int) -> int:
     if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool):
         raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 100:
@@ -42,7 +43,7 @@ def _check_samples(samples: int) -> int:
     return int(samples)
 
 
-def _check_seed(seed: int) -> int:
+def check_seed(seed: int) -> int:
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
@@ -51,11 +52,11 @@ def _check_seed(seed: int) -> int:
 
 
 def estimate_expected_min(
-    dist: DemandDistribution, v: float, samples: int, seed: int = 42, group: int = 0
+    dist: DemandDistribution, v: float, samples: int, seed: int = DEFAULT_SEED, group: int = 0
 ) -> McEstimate:
     """Sample mean of min(draw, v) with its standard error, from group ``group``'s streams."""
-    samples = _check_samples(samples)
-    seed = _check_seed(seed)
+    samples = check_samples(samples)
+    seed = check_seed(seed)
     v = float(v)
     if not math.isfinite(v) or v < 0.0:
         raise ValueError(f"resource level must be a finite nonnegative real, got {v!r}")
@@ -108,7 +109,7 @@ class McReport:
 
 
 def estimate_report(
-    scenario: Scenario, alloc: Allocation, samples: int, seed: int = 42
+    scenario: Scenario, alloc: Allocation, samples: int, seed: int = DEFAULT_SEED
 ) -> McReport:
     """Per-group availability and total utilization by sampling.
 
@@ -116,8 +117,8 @@ def estimate_report(
     seed, so the whole report is reproducible and group estimates stay
     independent.
     """
-    samples = _check_samples(samples)
-    seed = _check_seed(seed)
+    samples = check_samples(samples)
+    seed = check_seed(seed)
     check_allocation(scenario, alloc)
     groups = []
     for index, (group, v) in enumerate(zip(scenario.groups, alloc.values)):

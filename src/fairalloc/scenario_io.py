@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Optional
 
-from . import __version__
+from . import __version__, certificates, montecarlo
 from .distributions import FAMILIES, DemandDistribution, DistributionError, Empirical
-from .metrics import Group, Scenario, clamp_availability
+from .metrics import Group, Scenario, check_alpha, clamp_availability
 
 TOOL_NAME = "fairalloc"
 
@@ -100,49 +100,35 @@ def distribution_from_spec(obj, path: str = "distribution") -> DemandDistributio
 
 
 @dataclass(frozen=True)
-class ScenarioDefaults:
-    epsilon: Optional[float] = None
-    alpha: Optional[float] = None
-    seed: Optional[int] = None
-    samples: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        out = {}
-        for key in ("epsilon", "alpha", "seed", "samples"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
-
-
-@dataclass(frozen=True)
 class ScenarioFile:
     scenario: Scenario
-    defaults: ScenarioDefaults
+    defaults: dict  # the scenario's defaults block, as _parse_defaults returns it
     digest: str
 
 
-def _parse_defaults(obj, path: str) -> ScenarioDefaults:
+# Each defaults key, in report order, with the check its CLI flag goes through.
+_DEFAULT_CHECKS = {
+    "epsilon": certificates.check_epsilon,
+    "alpha": check_alpha,
+    "seed": montecarlo.check_seed,
+    "samples": montecarlo.check_samples,
+}
+
+
+def _parse_defaults(obj, path: str) -> dict:
+    """The keys obj sets, in _DEFAULT_CHECKS order, each value as written (an int stays one)."""
     _require_mapping(obj, path)
-    _reject_unknown(obj, ("epsilon", "alpha", "seed", "samples"), path)
-    epsilon = alpha = seed = samples = None
-    if "epsilon" in obj:
-        epsilon = _number(obj, "epsilon", path)
-        if not 0.0 < epsilon < 1.0:
-            raise ScenarioError(f"{path}.epsilon", f"epsilon must be in (0, 1), got {epsilon!r}")
-    if "alpha" in obj:
-        alpha = _number(obj, "alpha", path)
-        if alpha < 0.0:
-            raise ScenarioError(f"{path}.alpha", f"alpha must be >= 0, got {alpha!r}")
-    if "seed" in obj:
-        seed = _number(obj, "seed", path)
-        if not isinstance(seed, int) or seed < 0:
-            raise ScenarioError(f"{path}.seed", f"seed must be an integer >= 0, got {seed!r}")
-    if "samples" in obj:
-        samples = _number(obj, "samples", path)
-        if not isinstance(samples, int) or samples < 100:
-            raise ScenarioError(f"{path}.samples", f"samples must be an integer >= 100, got {samples!r}")
-    return ScenarioDefaults(epsilon=epsilon, alpha=alpha, seed=seed, samples=samples)
+    _reject_unknown(obj, _DEFAULT_CHECKS, path)
+    defaults = {}
+    for key, check in _DEFAULT_CHECKS.items():
+        if key in obj:
+            value = _finite(obj[key], f"{path}.{key}")
+            try:
+                check(value)
+            except ValueError as exc:
+                raise ScenarioError(f"{path}.{key}", str(exc)) from exc
+            defaults[key] = value
+    return defaults
 
 
 def load_scenario_file(text: str) -> ScenarioFile:
@@ -169,9 +155,7 @@ def load_scenario_file(text: str) -> ScenarioFile:
             raise ScenarioError(f"{path}.name", f"expected a nonempty string, got {name!r}")
         dist = distribution_from_spec(entry.get("distribution"), f"{path}.distribution")
         groups.append(Group(name=name, dist=dist))
-    defaults = ScenarioDefaults()
-    if "defaults" in raw:
-        defaults = _parse_defaults(raw["defaults"], ".defaults")
+    defaults = _parse_defaults(raw["defaults"], ".defaults") if "defaults" in raw else {}
     try:
         scenario = Scenario(resource=resource, groups=tuple(groups))
     except ValueError as exc:
@@ -189,19 +173,19 @@ def load_scenario_path(path: str) -> ScenarioFile:
         return load_scenario_file(handle.read())
 
 
-def scenario_to_dict(scenario: Scenario, defaults: Optional[ScenarioDefaults] = None) -> dict:
+def scenario_to_dict(scenario: Scenario, defaults: Optional[dict] = None) -> dict:
     out = {
         "resource": scenario.resource,
         "groups": [
             {"name": g.name, "distribution": g.dist.to_spec()} for g in scenario.groups
         ],
     }
-    if defaults is not None and defaults.to_dict():
-        out["defaults"] = defaults.to_dict()
+    if defaults:
+        out["defaults"] = dict(defaults)
     return out
 
 
-def serialize_scenario(scenario: Scenario, defaults: Optional[ScenarioDefaults] = None) -> str:
+def serialize_scenario(scenario: Scenario, defaults: Optional[dict] = None) -> str:
     return json.dumps(scenario_to_dict(scenario, defaults), indent=2)
 
 

@@ -552,6 +552,32 @@ def test_scaled_exponential_max_utilization_is_zero_fair(means, ratio):
     assert fairness(sc, alloc) <= 1e-6
 
 
+SCALED_MIXES = {
+    "exponential+constant": lambda c: [Exponential(c), Constant(c)],
+    "normal+exponential": lambda c: [Normal(c, 0.3 * c), Exponential(c)],
+    "empirical+normal+constant": lambda c: [
+        Empirical((0.0, c, 3.0 * c), (0.25, 0.5, 0.25)), Normal(2.0 * c, 0.5 * c), Constant(0.5 * c)
+    ],
+}
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-12, 1e-5, 1e5, 1e100])
+@pytest.mark.parametrize("mix", SCALED_MIXES.values(), ids=SCALED_MIXES)
+def test_scaling_every_law_and_the_budget_scales_both_optima(mix, c):
+    # regression: tolerances in absolute resource units made pof raise
+    # ConvergenceError below R = 1, or read a PoF up to 7.9% off the unscaled one
+    for ratio in (0.5, 0.9, 1.2):
+        unit, scaled = mix(1.0), mix(c)
+        base_sc = scenario(ratio * sum(d.mean() for d in unit), *unit)
+        sc = scenario(ratio * sum(d.mean() for d in scaled), *scaled)
+        for alpha in (0.0, 0.05, 0.5):
+            base, result = pof(base_sc, alpha), pof(sc, alpha)
+            assert result.pof == pytest.approx(base.pof, rel=1e-8, abs=0.0)
+            for got, want in ((result.max_utilization_allocation, base.max_utilization_allocation),
+                              (result.alpha_fair_allocation, base.alpha_fair_allocation)):
+                assert max(abs(v - c * w) for v, w in zip(got.values, want.values)) <= 1e-8 * sc.resource
+
+
 # ---------------------------------------------------------------- box inverses and water-fill stop
 
 @pytest.mark.parametrize("slope", [1e6, 0.0, math.inf, math.nan, 1.0])
@@ -774,8 +800,9 @@ def test_knot_water_fill_stop_matches_full_loop(dists, repeat, cap, ends, where,
         budget = sum(c.box_fill(a, b)(where) for c, a, b in zip(curves, lo, hi))
     else:
         budget = sum(lo) + where * (sum(hi) - sum(lo))
+    tol = allocation_module.V_TOLERANCE * min(budget, 1.0)  # the library's stop
     expected = oracles.water_fill_full_loop(
-        curves, budget, lo, hi, allocation_module.BISECTION_STEPS, allocation_module.V_TOLERANCE
+        curves, budget, lo, hi, allocation_module.BISECTION_STEPS, tol
     )
     assert allocation_module._water_fill(curves, budget, lo, hi)[0] == expected
 

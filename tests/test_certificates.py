@@ -96,6 +96,8 @@ def test_h_limit_and_values():
     direct = 2.0 * ((1.0 - 0.1) * math.log(0.9) + 0.1) / 0.01
     assert bennett_h(-0.1) == pytest.approx(direct, rel=1e-12)
     assert bennett_h(-0.1) == pytest.approx(1.0352, abs=2e-4)
+    with pytest.raises(CertificateError, match=r"h\(x\) requires x > -1, got -1.0"):
+        bennett_h(-1.0)
 
 
 def test_h_exceeds_one_on_lower_tail():
@@ -193,6 +195,8 @@ def test_tail_certificate_validation():
         TailCertificate(epsilon=0.1, delta=1.0, method="exact_cdf", per_group_deltas=(1.0,))
     with pytest.raises(CertificateError):
         TailCertificate(epsilon=0.1, delta=0.2, method="exact_cdf", per_group_deltas=(0.1,))
+    with pytest.raises(CertificateError, match="unknown method 'nope'"):
+        TailCertificate(epsilon=0.1, delta=0.1, method="nope", per_group_deltas=(0.1,))
     cert = TailCertificate(epsilon=0.1, delta=0.0, method="exact_cdf", per_group_deltas=(0.0,))
     assert cert.delta == 0.0
 

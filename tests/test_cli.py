@@ -120,6 +120,9 @@ def test_evaluate_rejects_mismatched_allocation(capsys, poisson3):
     )
     assert code == EXIT_VALIDATION
     assert "entries" in err
+    code, out, err = run(capsys, "evaluate", "--scenario", poisson3, "--allocation", "1,x")
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "--allocation must be comma-separated numbers, got '1,x'" in err
 
 
 @pytest.mark.parametrize("epsilon", [[], ["--epsilon", "0.1"]])
@@ -137,6 +140,18 @@ def test_optimize_reports_both_optima(capsys, poisson3):
     result = json.loads(out)["result"]
     assert result["max_utilization"]["utilization"] >= result["alpha_fair"]["utilization"] - 1e-9
     assert result["alpha_fair"]["fairness"] <= 0.1 + 1e-6
+
+
+def test_optimize_at_a_tiny_unit_of_demand_meets_alpha(capsys, tmp_path):
+    # regression: at R = 1e-300 the absolute 1e-9 tolerances swallowed the
+    # whole budget and the sweep's fairness 0.079 exited 2, a false non-convergence
+    path = tmp_path / "tiny.json"
+    groups = [{"name": "e", "distribution": {"kind": "exponential", "mean": 1e-300}},
+              {"name": "c", "distribution": {"kind": "constant", "c": 1e-300}}]
+    path.write_text(json.dumps({"resource": 1e-300, "groups": groups}))
+    code, out, _ = run(capsys, "optimize", "--scenario", str(path), "--alpha", "0.05")
+    assert code == EXIT_OK
+    assert json.loads(out)["result"]["alpha_fair"]["fairness"] <= 0.05 + 1e-6
 
 
 def test_optimize_solves_max_utilization_once(capsys, poisson3, monkeypatch):
@@ -196,6 +211,28 @@ def test_certify_rejects_delta_outside_unit_interval(capsys, tmp_path, delta):
     assert code == EXIT_VALIDATION
     assert out == ""
     assert "delta must be in (0, 1)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--epsilon", "0.1"],
+    ["certify", "--epsilon", "0.1"],
+    ["pof", "--alpha", "0.1", "--epsilon", "0.1"],
+], ids=["evaluate", "certify", "pof"])
+@pytest.mark.parametrize("law", [
+    {"kind": "two_point", "k": 1e17},
+    {"kind": "empirical", "values": [0, 1e18], "probabilities": [1.0, 1e-17]},
+], ids=["two_point", "lottery"])
+def test_certificate_whose_delta_rounds_to_one_names_the_group(capsys, tmp_path, argv, law):
+    # regression: Pr[C <= 0.9 E[C]] = 1 - 1e-17 rounds to 1, and the error
+    # was "delta must be in [0, 1), got 1.0", about a delta nobody gave
+    path = tmp_path / "lottery.json"
+    groups = [{"name": "rare", "distribution": law},
+              {"name": "steady", "distribution": {"kind": "poisson", "lambda": 2}}]
+    path.write_text(json.dumps({"resource": 3, "groups": groups}))
+    code, out, err = run(capsys, argv[0], "--scenario", str(path), *argv[1:])
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "group 'rare'" in err
+    assert "epsilon=0.1" in err
 
 
 def test_certify_requires_epsilon(capsys, poisson3):

@@ -93,6 +93,23 @@ def test_binomial_n_zero_is_a_positioned_error():
         ('{"resource":1,"groups":[{"name":"","distribution":{"kind":"constant","c":1}}]}', "name"),
         ('{"resource":1,"extra":2,"groups":[{"name":"a","distribution":{"kind":"constant","c":1}}]}', "unknown key"),
         ('{"resource":1,"groups":[{"name":"a","distribution":{"kind":"binomial","n":5.5,"p":0.5}}]}', "integer"),
+        ('{"resource":1,"groups":[3]}', r"^\.groups\[0\]: expected an object, got int$"),
+        ('{"resource":1,"groups":[{"name":"a","distribution":{"kind":"poisson"}}]}',
+         r"^\.groups\[0\]\.distribution: missing required key 'lambda'$"),
+        ('{"resource":1,"groups":[{"name":"a","distribution":{"kind":"empirical","values":3,"probabilities":[1]}}]}',
+         "empirical needs 'values' and 'probabilities' lists"),
+        ('{"resource":1,"groups":[{"name":"a","distribution":{"kind":"empirical","values":[1,2],"probabilities":[1]}}]}',
+         "empirical values and probabilities must have equal length"),
+        ('{"resource":1,"groups":[{"name":"a","distribution":{"kind":"empirical","values":[1,2],"probabilities":[1.5,-0.5]}}]}',
+         "empirical probabilities must be finite and >= 0"),
+        ('{"resource":1,"groups":[{"name":"a","distribution":{"kind":"constant","c":1}}],"defaults":{"epsilon":1}}',
+         r"^\.defaults\.epsilon: epsilon must be in \(0, 1\), got 1\.0$"),
+        ('{"resource":1,"groups":[{"name":"a","distribution":{"kind":"constant","c":1}}],"defaults":{"alpha":-1}}',
+         r"^\.defaults\.alpha: alpha must be >= 0, got -1\.0$"),
+        ('{"resource":1,"groups":[{"name":"a","distribution":{"kind":"constant","c":1}}],"defaults":{"seed":2.5}}',
+         r"^\.defaults\.seed: seed must be an integer, got 2\.5$"),
+        ('{"resource":1,"groups":[{"name":"a","distribution":{"kind":"constant","c":1}}],"defaults":{"samples":99}}',
+         r"^\.defaults\.samples: samples must be >= 100, got 99$"),
     ],
 )
 def test_parse_errors_carry_field_context(text, fragment):
@@ -154,10 +171,10 @@ def test_defaults_are_parsed_and_validated():
         }
     )
     sf = load_scenario_file(text)
-    assert sf.defaults.epsilon == 0.1
-    assert sf.defaults.alpha == 0.25
-    assert sf.defaults.seed == 7
-    assert sf.defaults.samples == 5000
+    assert sf.defaults["epsilon"] == 0.1
+    assert sf.defaults["alpha"] == 0.25
+    assert sf.defaults["seed"] == 7
+    assert sf.defaults["samples"] == 5000
     bad = text.replace('"epsilon": 0.1', '"epsilon": 1.5')
     with pytest.raises(ScenarioError, match="epsilon"):
         load_scenario_file(bad)
@@ -174,7 +191,7 @@ def test_negative_default_seed_names_its_path():
             "defaults": {"seed": -5},
         }
     )
-    with pytest.raises(ScenarioError, match=r"seed must be an integer >= 0, got -5") as err:
+    with pytest.raises(ScenarioError, match=r"seed must be >= 0, got -5") as err:
         load_scenario_file(text)
     assert err.value.path == ".defaults.seed"
 
