@@ -35,9 +35,13 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-# Every flag a command may read beyond --scenario, --output and --format.
+# Every flag a command may read beyond --scenario, --output and --format. An
+# "option" entry gives the flag a name other than its key.
 _FLAGS = {
     "alpha": dict(type=float, help="fairness tolerance"),
+    "alphas": dict(option="alpha", help="comma-separated fairness tolerances"),
+    "r-over-z": dict(help="comma-separated budgets, as multiples of the total mean Z "
+                          "(default: the scenario's resource)"),
     "epsilon": dict(type=float, help="lower-deviation epsilon"),
     "method": dict(choices=certificates.METHODS, default=certificates.EXACT_CDF,
                    help="certificate method"),
@@ -65,30 +69,26 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--output", help="write the report here instead of stdout")
         cmd.add_argument("--format", choices=("json", "csv"), default="json")
         for flag in flags:
-            cmd.add_argument(f"--{flag}", **_FLAGS[flag])
+            spec = dict(_FLAGS[flag])
+            cmd.add_argument(f"--{spec.pop('option', flag)}", **spec)
     return parser
+
+
+def _floats(flag: str, text: str) -> list:
+    """The numbers in flag's comma-separated text."""
+    try:
+        return [float(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise CliError(f"{flag} must be comma-separated numbers, got {text!r}") from exc
 
 
 def _allocation(args, scenario) -> metrics.Allocation:
     """The --allocation amounts, or the mean-weighted split without the flag."""
-    if not args.allocation:
+    if args.allocation is None:
         return allocation.mean_weighted(scenario)
-    try:
-        values = tuple(float(part) for part in args.allocation.split(","))
-    except ValueError as exc:
-        raise CliError(f"--allocation must be comma-separated numbers, got {args.allocation!r}") from exc
-    alloc = metrics.Allocation(values)
+    alloc = metrics.Allocation(tuple(_floats("--allocation", args.allocation)))
     metrics.check_allocation(scenario, alloc)
     return alloc
-
-
-def write(text: str, path) -> None:
-    """Write a report to path, or to stdout without one."""
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _emit(args, sf, settings: dict, result: dict, csv_rows, summary: str) -> None:
@@ -111,7 +111,11 @@ def _emit(args, sf, settings: dict, result: dict, csv_rows, summary: str) -> Non
         text = scenario_io.rows_to_csv(rows, list(rows[0]))
     else:
         text = scenario_io.dumps_report(envelope) + "\n"
-    write(text, args.output)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
     print(summary, file=sys.stderr)
 
 
@@ -211,20 +215,39 @@ def _cmd_certify(args, sf) -> None:
 
 
 def _cmd_pof(args, sf) -> None:
-    scenario = sf.scenario
-    alpha, epsilon = args.alpha, args.epsilon
-    if alpha is None:
+    base, epsilon = sf.scenario, args.epsilon
+    if args.alpha is None:
         raise CliError("pof requires an explicit --alpha (or a defaults.alpha in the scenario)")
+    # --alpha is text; a defaults.alpha is one number, kept as written
+    alphas = _floats("--alpha", args.alpha) if isinstance(args.alpha, str) else [args.alpha]
+    ratios = None if args.r_over_z is None else _floats("--r-over-z", args.r_over_z)
     cert = None
     if epsilon is not None:
-        cert = certificates.scenario_certificate(scenario, epsilon, args.method)
-    result = allocation.pof(scenario, alpha, cert)
-    settings = {"alpha": alpha, "epsilon": epsilon,
+        # the per-group deltas do not depend on the budget
+        cert = certificates.scenario_certificate(base, epsilon, args.method)
+    cells = []  # (lead columns, result), ratio-major
+    for ratio in ratios or [None]:
+        scenario, lead = base, {}
+        if ratio is not None:
+            scenario = metrics.Scenario(resource=ratio * base.total_mean, groups=base.groups)
+            lead = {"r_over_z": ratio, "resource": scenario.resource}
+        cells += [(lead, allocation.pof(scenario, alpha, cert)) for alpha in alphas]
+    settings = {"alpha": alphas[0] if len(alphas) == 1 else alphas, "epsilon": epsilon,
                 "method": args.method if epsilon is not None else None}
-    _emit(args, sf, settings, result.to_dict(), [result.to_row()],
-          f"pof {result.pof:.9g} at alpha={alpha} "
-          f"(unconstrained {result.unconstrained_utilization:.6g}, "
-          f"constrained {result.constrained_utilization:.6g})")
+    if ratios is not None:
+        settings["r_over_z"] = ratios
+    if ratios is None and len(alphas) == 1:
+        result = cells[0][1]
+        report = result.to_dict()
+        summary = (f"pof {result.pof:.9g} at alpha={alphas[0]} "
+                   f"(unconstrained {result.unconstrained_utilization:.6g}, "
+                   f"constrained {result.constrained_utilization:.6g})")
+    else:
+        report = [{**lead, **result.to_dict()} for lead, result in cells]
+        pofs = [result.pof for _, result in cells]
+        summary = f"pof {min(pofs):.9g} to {max(pofs):.9g} over {len(cells)} cells"
+    _emit(args, sf, settings, report, ({**lead, **result.to_row()} for lead, result in cells),
+          summary)
 
 
 def _cmd_curve(args, sf) -> None:
@@ -300,36 +323,21 @@ COMMANDS = {
     "optimize": (_cmd_optimize, "max-utilization and alpha-fair allocations", ("alpha",)),
     "certify": (_cmd_certify, "per-group lower-deviation certificate table",
                 ("epsilon", "method", "delta")),
-    "pof": (_cmd_pof, "price of fairness at a given alpha", ("alpha", "epsilon", "method")),
+    "pof": (_cmd_pof, "price of fairness at each alpha and budget",
+            ("alphas", "epsilon", "method", "r-over-z")),
     "curve": (_cmd_curve, "availability curve per group", ("v-max", "steps")),
     "mc-check": (_cmd_mc_check, "Monte Carlo vs exact comparison table",
                  ("seed", "samples", "allocation")),
 }
 
 
-def run(prog: str, action) -> int:
-    """Call action() and return its exit code, printing any error as one `prog: ...` line.
+def main(argv=None) -> int:
+    """Run one command and return its exit code, printing any error as one line.
 
     Every input error (CliError, ScenarioError, DistributionError and
     CertificateError) is a ValueError.
     """
     try:
-        action()
-        return EXIT_OK
-    except allocation.InfeasibleError as exc:
-        # no allocation meets the constraints: a property of the input
-        print(f"{prog}: infeasible: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except allocation.OptimizerError as exc:
-        print(f"{prog}: optimizer error: {exc}", file=sys.stderr)
-        return EXIT_OPTIMIZER
-    except (ValueError, OSError) as exc:
-        print(f"{prog}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-
-def main(argv=None) -> int:
-    def action():
         args = build_parser().parse_args(argv)
         sf = scenario_io.load_scenario_path(args.scenario)
         # A flag the command reads but was not given takes the scenario's
@@ -338,8 +346,17 @@ def main(argv=None) -> int:
             if getattr(args, key, value) is None:
                 setattr(args, key, value)
         COMMANDS[args.command][0](args, sf)
-
-    return run("fairalloc", action)
+        return EXIT_OK
+    except allocation.InfeasibleError as exc:
+        # no allocation meets the constraints: a property of the input
+        print(f"fairalloc: infeasible: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except allocation.OptimizerError as exc:
+        print(f"fairalloc: optimizer error: {exc}", file=sys.stderr)
+        return EXIT_OPTIMIZER
+    except (ValueError, OSError) as exc:
+        print(f"fairalloc: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 def entry_point() -> None:

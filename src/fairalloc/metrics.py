@@ -64,18 +64,20 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Per-group resource amounts; must sum to the scenario's resource."""
+    """Per-group resource amounts; must sum to the scenario's resource.
+
+    Every entry must be finite and >= 0. A negative entry is rejected, however
+    small: there is no clamping, since "small" would need the budget R.
+    """
 
     values: tuple
 
     def __post_init__(self):
-        vals = []
-        for v in self.values:
-            v = float(v)
-            if not math.isfinite(v) or v < -1e-9:
+        vals = tuple(float(v) for v in self.values)
+        for v in vals:
+            if not math.isfinite(v) or v < 0.0:
                 raise ValueError(f"allocation entries must be finite and >= 0, got {v!r}")
-            vals.append(max(v, 0.0))
-        object.__setattr__(self, "values", tuple(vals))
+        object.__setattr__(self, "values", vals)
 
     @property
     def total(self) -> float:

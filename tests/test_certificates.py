@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import oracles
+import strategies
+from fairalloc.allocation import mean_weighted, pof
 from fairalloc.certificates import (
     CertificateError,
     TailCertificate,
@@ -16,7 +20,7 @@ from fairalloc.certificates import (
     theoretical_bounds,
 )
 from fairalloc.distributions import Binomial, Constant, Exponential, Normal, Poisson, TwoPoint
-from fairalloc.metrics import Group, Scenario
+from fairalloc.metrics import Group, Scenario, evaluate
 
 
 # ---------------------------------------------------------------- exact deltas
@@ -252,3 +256,34 @@ def test_fairness_bound_consistency():
             tb = theoretical_bounds(_cert(eps, delta), _scenario(1.0, 40.0))
             assert tb.fairness_bound < eps + delta
             assert tb.fairness_bound == pytest.approx(1 - (1 - eps) * (1 - delta), abs=1e-15)
+
+
+@given(dists=st.lists(strategies.demand_distributions, min_size=2, max_size=5),
+       r_over_z=st.floats(0.3, 2.0), epsilon=st.floats(0.02, 0.6), extra=st.floats(0.0, 0.5))
+@settings(max_examples=200, deadline=None)
+def test_mean_weighted_and_pof_meet_the_certificate_bounds(dists, r_over_z, epsilon, extra):
+    """The paper's theorems, at alpha >= eps + delta, for laws on C >= 0.
+
+    The mean-weighted split meets every fairness and utilization bound the
+    certificate gives, and the PoF is at most 1/(1 - alpha) and, where given,
+    1 + 2 alpha. The theorems assume C >= 0, so heavy_normals stay out: on
+    Constant(1) + Normal(0.5, 1) at R/Z 1 and eps 0.5 the split's fairness
+    is 0.798, above its bound of 0.701.
+    """
+    groups = tuple(Group(f"g{i}", dist) for i, dist in enumerate(dists))
+    sc = Scenario(resource=r_over_z * sum(dist.mean() for dist in dists), groups=groups)
+    try:
+        cert = scenario_certificate(sc, epsilon)
+    except CertificateError:  # some delta rounds to 1
+        reject()
+    alpha = epsilon + cert.delta + extra
+    if alpha >= 1.0:
+        reject()
+    bounds = evaluate(sc, mean_weighted(sc), epsilon=epsilon, alpha=alpha).bounds
+    assert bounds.fairness_ok and bounds.utilization_ok
+    assert bounds.fairness_low_resource_ok is not False
+    assert bounds.utilization_low_resource_ok is not False
+    result = pof(sc, alpha, cert)
+    for bound in (result.bound_1_over_1_minus_alpha, result.bound_1_plus_2alpha):
+        if bound is not None:
+            assert result.pof <= bound * (1.0 + 1e-9)

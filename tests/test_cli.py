@@ -6,11 +6,15 @@ import pathlib
 import pytest
 
 import oracles
-from fairalloc import __version__, scenario_io
+from fairalloc import Scenario, __version__, pof, scenario_certificate, scenario_io
 from fairalloc import allocation as allocation_module
 from fairalloc import cli
 from fairalloc.cli import DEFAULT_SEED, EXIT_OK, EXIT_OPTIMIZER, EXIT_VALIDATION, main
 from fairalloc.distributions import Binomial, Poisson
+from fairalloc.scenario_io import format_value, load_scenario_path
+
+# Sets epsilon 0.1, at which its certificate's delta is 0.38.
+GOLDEN_POISSON = pathlib.Path(__file__).parent / "golden" / "scenarios" / "poisson.json"
 
 
 @pytest.fixture
@@ -120,9 +124,22 @@ def test_evaluate_rejects_mismatched_allocation(capsys, poisson3):
     )
     assert code == EXIT_VALIDATION
     assert "entries" in err
-    code, out, err = run(capsys, "evaluate", "--scenario", poisson3, "--allocation", "1,x")
+    for text in ("1,x", ""):
+        code, out, err = run(capsys, "evaluate", "--scenario", poisson3, "--allocation", text)
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert f"--allocation must be comma-separated numbers, got {text!r}" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "mc-check"])
+def test_negative_allocation_entry_is_rejected_at_a_tiny_budget(capsys, tmp_path, command):
+    # -1e-10 is 1e290 times R below zero; it was once clamped to 0 and scored
+    law = {"kind": "constant", "c": 1e-300}
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"resource": 1e-300, "groups": [
+        {"name": "a", "distribution": law}, {"name": "b", "distribution": law}]}))
+    code, out, err = run(capsys, command, "--scenario", str(path), "--allocation=-1e-10,1e-300")
     assert (code, out) == (EXIT_VALIDATION, "")
-    assert "--allocation must be comma-separated numbers, got '1,x'" in err
+    assert "allocation entries must be finite and >= 0, got -1e-10" in err
 
 
 @pytest.mark.parametrize("epsilon", [[], ["--epsilon", "0.1"]])
@@ -268,6 +285,12 @@ def test_pof_alpha_from_scenario_defaults(capsys, tmp_path):
     code, out, _ = run(capsys, "pof", "--scenario", str(path))
     assert code == EXIT_OK
     assert json.loads(out)["settings"]["alpha"] == 0.5
+    # a default is one cell, kept as written: an int alpha stays an int
+    raw = json.loads(path.read_text())
+    path.write_text(json.dumps({**raw, "defaults": {"alpha": 0}}))
+    code, out, _ = run(capsys, "pof", "--scenario", str(path))
+    assert code == EXIT_OK
+    assert '"alpha": 0,' in out and isinstance(json.loads(out)["result"], dict)
 
 
 def test_flag_beats_scenario_default_beats_built_in(capsys, poisson3, tmp_path):
@@ -303,6 +326,105 @@ def test_pof_with_certificate_bounds(capsys, poisson3):
     assert result["bound_1_plus_2alpha"] == pytest.approx(1.5)
     assert result["pof"] <= 1.5 + 1e-3
     assert result["certificate"]["method"] == "exact_cdf"
+
+
+def pof_grid_cells(capsys, *flags):
+    code, out, _ = run(capsys, "pof", "--scenario", str(GOLDEN_POISSON), "--format", "csv",
+                       "--r-over-z", "0.5,1.2", "--alpha", "0.05,0.49", *flags)
+    assert code == EXIT_OK
+    header, *rows = csv.reader(io.StringIO(out))
+    return [dict(zip(header, row)) for row in rows]
+
+
+def test_pof_grid_writes_one_row_per_ratio_and_alpha(capsys):
+    cells = pof_grid_cells(capsys)
+    assert [(float(c["r_over_z"]), float(c["alpha"])) for c in cells] == [
+        (0.5, 0.05), (0.5, 0.49), (1.2, 0.05), (1.2, 0.49)]
+    base = load_scenario_path(str(GOLDEN_POISSON)).scenario
+    cert = scenario_certificate(base, 0.1)
+    for cell in cells:
+        ratio, alpha = float(cell["r_over_z"]), float(cell["alpha"])
+        sc = Scenario(resource=ratio * base.total_mean, groups=base.groups)
+        expected = {"r_over_z": ratio, "resource": sc.resource,
+                    **pof(sc, alpha, certificate=cert).to_row()}
+        assert {key: cell[key] for key in expected} == {
+            key: format_value(value) for key, value in expected.items()}
+
+
+def test_pof_grid_bounds_are_empty_exactly_below_eps_plus_delta(capsys):
+    cells = pof_grid_cells(capsys)
+    base = load_scenario_path(str(GOLDEN_POISSON)).scenario
+    tail_sum = 0.1 + scenario_certificate(base, 0.1).delta  # 0.48, below 1/2
+    below = [float(c["alpha"]) < tail_sum for c in cells]
+    assert below == [True, False, True, False]
+    for cell, empty in zip(cells, below):
+        assert (cell["bound_1_over_1_minus_alpha"] == "") == empty
+        assert (cell["bound_1_plus_2alpha"] == "") == empty
+
+
+@pytest.mark.parametrize("flags, alpha", [
+    (["--r-over-z", "0.5,1.2", "--alpha", "0.05,0.49"], [0.05, 0.49]),
+    (["--alpha", "0.05,0.49"], [0.05, 0.49]),
+    (["--r-over-z", "1.2", "--alpha", "0.05"], 0.05),
+], ids=["ratios-and-alphas", "alphas-only", "one-ratio"])
+def test_pof_grid_json_has_one_entry_per_cell(capsys, flags, alpha):
+    code, out, _ = run(capsys, "pof", "--scenario", str(GOLDEN_POISSON), *flags)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    ratios = report["settings"].get("r_over_z")
+    assert report["settings"]["alpha"] == alpha
+    alphas = alpha if isinstance(alpha, list) else [alpha]
+    assert len(report["result"]) == len(ratios or [None]) * len(alphas)
+    singles = {a: json.loads(run(capsys, "pof", "--scenario", str(GOLDEN_POISSON),
+                                 "--alpha", str(a))[1])["result"] for a in alphas}
+    base = load_scenario_path(str(GOLDEN_POISSON)).scenario
+    for i, entry in enumerate(report["result"]):
+        assert entry["alpha"] == alphas[i % len(alphas)]
+        if ratios is None:
+            # no --r-over-z: the scenario's own budget, the single report's result
+            assert entry == singles[entry["alpha"]]
+        else:
+            lead = {"r_over_z": ratios[i // len(alphas)],
+                    "resource": ratios[i // len(alphas)] * base.total_mean}
+            assert list(entry)[:2] == list(lead) and entry.items() >= lead.items()
+            assert list(entry)[2:] == list(singles[entry["alpha"]])
+
+
+INFEASIBLE = {
+    "resource": 1.0,
+    "groups": [
+        {"name": "wide", "distribution": {"kind": "normal", "mu": 1, "sigma": 100}},
+        {"name": "narrow", "distribution": {"kind": "normal", "mu": 1, "sigma": 0.01}},
+    ],
+}
+
+
+@pytest.mark.parametrize("flags, fault, code, message", [
+    (["--alpha", "1.0"], None, EXIT_VALIDATION, "pof requires 0 <= alpha < 1, got 1.0"),
+    (["--r-over-z", "1.0", "--alpha", "0.05"], "infeasible", EXIT_VALIDATION,
+     "infeasible: no availability floor admits a feasible fairness band for alpha=0.05"),
+    (["--r-over-z", "x"], None, EXIT_VALIDATION,
+     "--r-over-z must be comma-separated numbers, got 'x'"),
+    ([], "missing", EXIT_VALIDATION, "[Errno 2] No such file or directory"),
+    ([], "stalled", EXIT_OPTIMIZER, "optimizer error: stalled"),
+], ids=["alpha-one", "infeasible-cell", "bad-ratio", "missing-file", "no-convergence"])
+def test_pof_grid_reports_errors_without_a_traceback(capsys, tmp_path, monkeypatch, flags, fault,
+                                                     code, message):
+    path = GOLDEN_POISSON
+    if fault == "infeasible":
+        path = tmp_path / "infeasible.json"
+        path.write_text(json.dumps(INFEASIBLE))
+    elif fault == "missing":
+        path = tmp_path / "missing.json"
+    elif fault == "stalled":
+        def stalled_pof(*args, **kwargs):
+            raise allocation_module.ConvergenceError("stalled")
+        monkeypatch.setattr(allocation_module, "pof", stalled_pof)
+    status, out, err = run(capsys, "pof", "--scenario", str(path),
+                           "--r-over-z", "0.5,1.2", "--alpha", "0.05,0.49", *flags)
+    assert (status, out) == (code, "")
+    assert err.splitlines()[-1].startswith(f"fairalloc: {message}")
+    assert "Traceback" not in err
 
 
 def test_curve_csv_monotone(capsys, tmp_path):
@@ -503,6 +625,7 @@ def test_non_numeric_empirical_entry_is_validation_error(capsys, tmp_path, entry
         ("curve", ["--method", "exact_cdf"]),
         ("mc-check", ["--alpha", "0.1"]),
         ("evaluate", ["--steps", "5"]),
+        ("optimize", ["--r-over-z", "1"]),
     ],
 )
 def test_unknown_flag_is_validation_error(capsys, poisson3, command, flag):

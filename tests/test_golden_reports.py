@@ -1,7 +1,8 @@
 """Byte-for-byte comparison of CLI reports against committed golden files.
 
 Every scenario under ``golden/scenarios`` is run through all seven commands
-in JSON, and one scenario per command also in CSV. A refactor that keeps
+in JSON, and one scenario per command also in CSV. One pof grid over R/Z and
+alpha is run in both formats. A refactor that keeps
 behaviour leaves every report byte unchanged. A change that is meant to
 alter reports regenerates them with
 
@@ -44,20 +45,27 @@ CSV_SCENARIO = {
     "mc-check": "empirical",
 }
 
+# Reports of a command run with flags of its own: name -> (command, flags).
+# No name is a command, so no report of one collides with a command's reports.
+VARIANTS = {
+    "pof-grid": ("pof", ["--r-over-z", "0.5,0.9,1.2", "--alpha", "0.05,0.25"]),
+}
+
 CASES = [(command, scenario, "json") for command in COMMANDS for scenario in SCENARIOS] + [
     (command, scenario, "csv") for command, scenario in CSV_SCENARIO.items()
-]
+] + [("pof-grid", "mix7_rz09", fmt) for fmt in ("json", "csv")]
 
 
 def report_name(command, scenario, fmt):
     return f"{command}__{scenario}.{fmt}"
 
 
-def run_case(command, scenario, fmt, output):
+def run_case(name, scenario, fmt, output):
+    command, flags = VARIANTS[name] if name in VARIANTS else (name, COMMANDS[name])
     # The scenario path is part of every report, so it is given relative to
     # the golden directory.
     argv = [command, "--scenario", f"scenarios/{scenario}.json", "--format", fmt,
-            "--output", str(output)] + COMMANDS[command]
+            "--output", str(output)] + flags
     return cli.main(argv)
 
 

@@ -193,8 +193,8 @@ def test_scenario_derived_totals():
 def test_allocation_validation():
     with pytest.raises(ValueError):
         Allocation((1.0, -0.5))
-    alloc = Allocation((1.0, -1e-12))  # numerical dust clamps to zero
-    assert alloc.values[1] == 0.0
+    with pytest.raises(ValueError):
+        Allocation((1.0, -1e-12))  # no clamping: the budget that sets "small" is unknown here
     sc = constants_scenario(20.0)
     with pytest.raises(ValueError):
         check_allocation(sc, Allocation((5.0,)))
