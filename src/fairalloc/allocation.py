@@ -10,7 +10,7 @@ two optima.
 
 All optimizers are deterministic: step-discontinuity residuals are assigned
 greedily by ascending group index, and golden-section ties narrow the floor
-bracket towards its lower end.
+bracket towards its lower end (the slope search on smooth laws has no ties).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,6 +27,8 @@ from .distributions import DemandDistribution
 from .metrics import Allocation, Scenario
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = sys.float_info.epsilon
+_TINY = math.ulp(0.0)  # the least positive double
 
 V_TOLERANCE = 1e-9  # water-fill stops once the filled levels sum within V_TOLERANCE min(R, 1) of R
 BISECTION_STEPS = 60  # water-fill halvings; Newton steps, then at most as many halvings, per crossing
@@ -297,15 +300,15 @@ def _curve(dist: DemandDistribution, cap: float) -> _Curve:
     return _SmoothCurve(dist, cap) if table is None else _KnotCurve(dist, cap, table)
 
 
-def _one_level_at_most(levels, a, b):
-    """Whether the sorted lists hold at most one distinct value in [a, b)."""
+def _levels_at_most(levels, a, b, most):
+    """Whether the sorted lists hold at most `most` (0 or 1) distinct values in [a, b)."""
     seen = None
     for cdfs in levels:
         i = bisect.bisect_left(cdfs, a)
         j = bisect.bisect_left(cdfs, b, i)
         if i == j:
             continue
-        if cdfs[i] != cdfs[j - 1] or seen not in (None, cdfs[i]):
+        if not most or cdfs[i] != cdfs[j - 1] or seen not in (None, cdfs[i]):
             return False
         seen = cdfs[i]
     return True
@@ -317,13 +320,17 @@ def _water_fill(curves, budget, lo, hi, known=(0.0, 1.0)):
     Bisects a common cdf level in [0, 1] until the levels sum to the budget
     within tol = V_TOLERANCE min(budget, 1), the bracket cannot shrink or
     BISECTION_STEPS halvings have run. When every curve has knots, each fill is constant between
-    adjacent knot cdf levels, so the loop also stops once both bracket ends
-    have been evaluated (the s = 0 and s = 1 ends are lo and hi, not fills)
-    and [s_lo, s_hi) holds at most one distinct level: every later midpoint
-    would repeat the allocation at one end, so the result is bit-identical
-    to running on. Any residual sitting on a survival step is assigned
-    greedily by ascending group index (utilization-equivalent on the flat
-    segment).
+    adjacent knot cdf levels: on every (L, L'] between adjacent levels. So
+    the loop also stops once [s_lo, s_hi), less the level 0 that bounds no
+    such interval inside (0, 1), holds at most one distinct level while both
+    ends are fills, or none while one end is still s = 0 or s = 1 (lo or hi,
+    not a fill): every later midpoint would repeat the allocation at an end
+    already evaluated, so the result is bit-identical to running on. The
+    s = 1 end needs hi to sum above the budget: a loop whose s_hi stays at 1
+    reaches the stuck midpoint s = 1 within BISECTION_STEPS, which evaluates
+    hi, while no midpoint rounds to 0. Any residual sitting on a survival
+    step is assigned greedily by ascending group index (utilization-
+    equivalent on the flat segment).
 
     known = (known_lo, known_hi) are levels whose branch is already known:
     the fills sum below the budget (by more than tol) at any level
@@ -335,7 +342,10 @@ def _water_fill(curves, budget, lo, hi, known=(0.0, 1.0)):
     skipped midpoint could not have met the tolerance test, and the
     allocation, rebuilt from the fills at the final ends, is bit-identical.
     Returns (v, (s_lo, s_hi)): the allocation and the final bracket, whose
-    ends carry the same facts for the caller to pass on.
+    ends carry the same facts for the caller to pass on. Unless the knot
+    stop ended the loop, its midpoint is the level at which the fill met
+    the budget: the midpoint the loop stopped on, or after BISECTION_STEPS
+    halvings one within 2**-60 of both ends.
     """
     tol = V_TOLERANCE * min(budget, 1.0)
     feas_tol = 1e-9 * budget
@@ -374,9 +384,10 @@ def _water_fill(curves, budget, lo, hi, known=(0.0, 1.0)):
                 s_hi, v_high = s_mid, v_mid
         if stuck:
             break
-        if (levels is not None and 0.0 < s_lo and s_hi < 1.0
-                and _one_level_at_most(levels, s_lo, s_hi)):
-            break
+        if levels is not None and (s_hi < 1.0 or sum_hi > budget + tol):
+            most = (0.0 < s_lo) + (s_hi < 1.0) - 1
+            if most >= 0 and _levels_at_most(levels, max(s_lo, _TINY), s_hi, most):
+                break
     if v_low is None:
         v_low = [fill(s_lo) for fill in fills]
     v = list(v_low)
@@ -456,8 +467,10 @@ def alpha_fair_optimal(scenario: Scenario, alpha: float) -> Allocation:
     Searches an availability floor ell over its feasible interval; each floor
     turns the band ell <= q_i <= min(ell + alpha, 1) into box constraints
     (q_i is continuous and nondecreasing in v_i), solved by clamped
-    water-filling. The best utilization is concave in ell, so one
-    golden-section search over the whole interval finds the best floor.
+    water-filling. The best utilization U*(ell) is concave, so one search
+    over the whole interval finds the best floor: on smooth laws a root
+    search on the slope of U*, which each floor's water-fill price gives,
+    and with any knot law a golden-section search on the values of U*.
     The result satisfies Q <= alpha + 1e-6 and sums to R within 1e-9 R.
     Every tolerance in resource units is relative to R (to min(R, 1) below
     R = 1), so scaling every law and R by one factor scales the allocation
@@ -500,6 +513,19 @@ def _alpha_fair(scenario: Scenario, alpha: float, curves) -> Allocation:
     return alloc
 
 
+def _low_end_moves(c, ell, v):
+    """Whether c's low box end v at floor ell moves with the floor from the right.
+
+    It stays at 0 while ell is below q(0), and an unreachable end is inf.
+    """
+    return c.em0 <= ell * c.mu and v < math.inf
+
+
+def _high_end_moves(c, v):
+    """Whether c's high box end v moves with its floor: an end at -inf or at the cap stays."""
+    return -math.inf < v < c.cap
+
+
 def _feasible_floors(curves, budget, alpha):
     """(ell_min, ell_max, lows, highs): the floors whose boxes can meet the budget.
 
@@ -537,10 +563,10 @@ def _feasible_floors(curves, budget, alpha):
     # whatever the slope, and _crossing halves instead.
     def lo_slope(ell):
         return sum(c.inverse_slope(v) for c, v in zip(curves, lows(ell))
-                   if c.em0 <= ell * c.mu and v < math.inf)
+                   if _low_end_moves(c, ell, v))
 
     def hi_slope(ell):
-        return sum(c.inverse_slope(v) for c, v in zip(curves, highs(ell)) if -math.inf < v < c.cap)
+        return sum(c.inverse_slope(v) for c, v in zip(curves, highs(ell)) if _high_end_moves(c, v))
 
     # The feasible floors form an interval: both sums are nondecreasing in
     # ell. No allocation has an availability below the lowest q_i(0), which
@@ -618,17 +644,95 @@ def _floor_sweep(curves, budget, alpha):
             best_value, best_v = value, v
         return value
 
-    # Golden-section search over the whole interval: U*(ell), the utilization
-    # solve(ell) reaches, is concave there. With g_i the inverse of q_i, convex
-    # since q_i is concave and nondecreasing, solve(ell) equals max sum mu_i q_i
-    # s.t. sum g_i(q_i) <= R, ell <= q_i <= ell + alpha (U is nondecreasing in
-    # v, and every floor in the interval has sum(highs) >= R, so leftover budget
-    # can be spent inside the boxes). That set is jointly convex in (q, ell) and
-    # the objective is linear, so U* is concave. Both ends are scored first: a
-    # float-degenerate interval can differ in feasibility at its two ends. The
-    # stop is an absolute width, as where U* is flat the ties move the bracket
-    # towards the dense doubles at 0.
-    a, b = ell_min, ell_max
+    # The right derivative g of U*(ell) at a scored floor, with its rounding
+    # bound. The water-fill met the budget at the cdf level s in the middle
+    # of its final bracket, so lam = 1 - s is its budget price: every group
+    # inside its box has survival lam. A box end that binds (a low end with
+    # survival S_i below lam, a high end with S_i above it) and moves with
+    # ell changes E[min(C_i, v)] - lam v at rate mu_i (1 - lam / S_i). So g is
+    # the right derivative of Phi(ell') = lam R + sum_i max over box_i(ell')
+    # of E[min(C_i, v)] - lam v, which is concave in ell', lies above U* and
+    # touches it at ell (Danskin's theorem): g <= 0 means no floor right of
+    # ell does better, and g >= 0 that none left of it does. An infeasible
+    # floor lies left of the feasible ones when its high ends cannot reach
+    # the budget, else right of them.
+    #
+    # Where every group sits on a box end at s, ell lies at a kink of U*, or
+    # within the fill's tolerance of one, and lam is one of many prices. The
+    # kink is the floor where those ends sum to the budget; their sum grows
+    # with ell at the rate their inverse slopes add up to, so one Newton step
+    # on it from ell estimates the kink. The exact optimum at ell moves one
+    # group off its end: left of the kink, where the ends sum below the
+    # budget, the low end with the highest survival rises, and right of it
+    # the high end with the lowest survival falls. Its survival is the price;
+    # at the kink itself any of them is. (The fill itself meets the budget by
+    # moving groups in index order, up to its tolerance past their box ends,
+    # so its utilization near the kink can rise where U* falls.)
+    def slope(ell):
+        """(g, its rounding bound, the kink estimate or None) at a scored floor."""
+        if ell not in brackets:
+            return (math.inf if sum(highs(ell)) < budget else -math.inf), 0.0, None
+        s_lo, s_hi = brackets[ell]
+        lam = 1.0 - 0.5 * (s_lo + s_hi)
+        ends = [(c, low, high, c.sf(low), c.sf(high))
+                for c, low, high in zip(curves, lows(ell), highs(ell))]
+        # (curve, end, its survival, whether it is the low end) of each group
+        # whose fill at s sits on a box end, or None for one inside its box
+        clipped = [(c, low, sf_low, True) if sf_low <= lam
+                   else (c, high, sf_high, False) if sf_high >= lam else None
+                   for c, low, high, sf_low, sf_high in ends]
+        kink = None
+        if None not in clipped:
+            total = sum(end for _, end, _, _ in clipped)
+            rate = sum(c.inverse_slope(end) for c, end, _, is_low in clipped
+                       if (_low_end_moves(c, ell, end) if is_low else _high_end_moves(c, end)))
+            if rate > 0.0:
+                kink = ell - (total - budget) / rate
+            if total < budget:
+                lam = max((sf for _, _, sf, is_low in clipped if is_low), default=lam)
+            elif total > budget:
+                lam = min((sf for _, _, sf, is_low in clipped if not is_low), default=lam)
+        g = scale = 0.0
+        for c, low, high, sf_low, sf_high in ends:
+            if _low_end_moves(c, ell, low):
+                if sf_low == 0.0:
+                    return -math.inf, 0.0, None
+                if sf_low < lam:
+                    g += c.mu * (1.0 - lam / sf_low)
+                    scale += c.mu * (1.0 + lam / sf_low)
+            if _high_end_moves(c, high) and sf_high > lam:
+                g += c.mu * (1.0 - lam / sf_high)
+                scale += c.mu * (1.0 + lam / sf_high)
+        return g, 64.0 * _EPS * scale, kink
+
+    # U*(ell), the utilization solve(ell) reaches, is concave on the
+    # interval. With g_i the inverse of q_i, convex since q_i is concave and
+    # nondecreasing, solve(ell) equals max sum mu_i q_i s.t. sum g_i(q_i) <= R,
+    # ell <= q_i <= ell + alpha (U is nondecreasing in v, and every floor in
+    # the interval has sum(highs) >= R, so leftover budget can be spent inside
+    # the boxes). That set is jointly convex in (q, ell) and the objective is
+    # linear, so U* is concave. Both searches score both ends first: a
+    # float-degenerate interval can differ in feasibility at its two ends.
+    # Smooth laws give g; on a knot law a fill that ends on a step has an
+    # interval of prices, and comparing values finds the better floor there.
+    if all(isinstance(c, _SmoothCurve) for c in curves):
+        _slope_search(score, slope, ell_min, ell_max)
+    else:
+        _golden_search(score, ell_min, ell_max)
+    if best_v is None:
+        raise InfeasibleError(
+            f"availability floor sweep found no feasible point in "
+            f"[{ell_min!r}, {ell_max!r}] for alpha={alpha!r}"
+        )
+    return best_v
+
+
+def _golden_search(score, a, b):
+    """Golden-section search for the best floor in [a, b] by the scores' values.
+
+    The stop is an absolute width, as where U* is flat the ties move the
+    bracket towards the dense doubles at 0.
+    """
     score(a)
     score(b, a)
     c = b - _GOLDEN * (b - a)
@@ -644,12 +748,75 @@ def _floor_sweep(curves, budget, alpha):
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
             fd = score(d, c, b)
-    if best_v is None:
-        raise InfeasibleError(
-            f"availability floor sweep found no feasible point in "
-            f"[{ell_min!r}, {ell_max!r}] for alpha={alpha!r}"
-        )
-    return best_v
+
+
+def _slope_search(score, slope, a, b):
+    """Search [a, b] for the best floor by the signs of the slope g of U*.
+
+    slope(ell) gives g at a scored floor, the bound within which rounding
+    hides its sign, and an estimate of the floor of a nearby kink or None.
+    An end whose g points out of the interval is the best
+    floor. Otherwise the bracket keeps g(a) > 0 > g(b), and U* lies below
+    both tangents U(a) + g(a)(x - a) and U(b) + g(b)(x - b). Where U(b) - U(a)
+    matches a quadratic, (g(a) + g(b))(b - a) / 2, to within 1/32 of
+    (g(a) - g(b))(b - a), its spread over the kinks the bracket can hold, a
+    step goes to the root of the secant of g; otherwise to where the
+    tangents cross, which is the kink if U* is two straight pieces. Such a
+    step keeps half the width at which the gain test below stops away from
+    each end, so that one landing next to the maximum straddles it with the
+    next. When the last floor scored lies at a kink of U*, or within the
+    water-fill's tolerance of one, slope(ell) also estimates where the kink
+    is, and the step goes there. Every third step in a row that would move
+    the same end, and every step where an end's g is infinite, halves the
+    bracket instead.
+
+    The tangents' crossing also bounds U* on the bracket: the search stops
+    once no floor there can beat the better end by more than the values'
+    rounding, once g is 0 within its bound, or once no double lies between
+    the ends.
+    """
+    ua, ub = score(a), score(b, a)
+    ga, bound, kink = slope(a)
+    if ga <= bound:
+        return
+    gb, bound, kink = slope(b)
+    if gb >= -bound:
+        return
+    kept, last = 0, None  # steps in a row that moved the same end, and that end
+    while True:
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            return
+        x = m
+        if math.isfinite(ga - gb):
+            w, rise, spread = b - a, ub - ua, ga - gb
+            gain = w * ga / spread * -gb
+            tol = 64.0 * _EPS * max(abs(ua), abs(ub))
+            if gain <= tol:
+                return
+            if kept < 3:
+                if kink is not None and a < kink < b:
+                    x = kink
+                else:
+                    if abs(rise - 0.5 * (ga + gb) * w) <= spread * w / 32.0:
+                        x = a + ga / spread * w
+                    else:
+                        x = a + (rise - gb * w) / spread
+                    near = 0.5 * w * tol / gain
+                    x = min(max(x, a + near), b - near)
+                    if not a < x < b:
+                        x = m
+        u = score(x, a, b)
+        g, bound, kink = slope(x)
+        if abs(g) <= bound:
+            return
+        moved = g > 0.0
+        if moved:
+            a, ua, ga = x, u, g
+        else:
+            b, ub, gb = x, u, g
+        kept = kept + 1 if moved == last and kept < 3 else 1
+        last = moved
 
 
 def _optima(scenario: Scenario, alpha: float):

@@ -60,9 +60,10 @@ def check_delta(delta: float) -> float:
 
 def _snap_to_integer(x: float) -> float:
     # (1-eps)*mean lands on an integer for the natural test grids; keep the
-    # atom included instead of losing it to float dust under floor().
+    # atom included instead of losing it to float dust under floor(). The
+    # window is relative, so a threshold below 1 never snaps to 0.
     r = round(x)
-    if abs(x - r) <= 1e-9 * max(1.0, abs(x)):
+    if abs(x - r) <= 1e-9 * abs(x):
         return float(r)
     return x
 

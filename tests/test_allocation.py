@@ -326,13 +326,8 @@ def count_box_inverses(monkeypatch):
     return calls
 
 
-def test_alpha_fair_solve_takes_few_water_fills(monkeypatch):
-    # regression: a 512-floor grid, two probe floors and a golden-section
-    # refine around the best grid floor used to cost 577 water-fills here;
-    # halving on after the allocation was final cost 984 bisection steps,
-    # and bisecting each floor's cdf level from [0, 1] again cost 395;
-    # bisecting the floor interval's ends cost 248 box inverses per group
-    sc = scenario(900.0, Poisson(200.0), Poisson(400.0), Poisson(400.0))
+def count_water_fills(monkeypatch):
+    """A list that grows by one per water-fill."""
     calls = []
     water_fill = allocation_module._water_fill
 
@@ -341,6 +336,17 @@ def test_alpha_fair_solve_takes_few_water_fills(monkeypatch):
         return water_fill(*args)
 
     monkeypatch.setattr(allocation_module, "_water_fill", counting_water_fill)
+    return calls
+
+
+def test_alpha_fair_solve_takes_few_water_fills(monkeypatch):
+    # regression: a 512-floor grid, two probe floors and a golden-section
+    # refine around the best grid floor used to cost 577 water-fills here;
+    # halving on after the allocation was final cost 984 bisection steps,
+    # and bisecting each floor's cdf level from [0, 1] again cost 395;
+    # bisecting the floor interval's ends cost 248 box inverses per group
+    sc = scenario(900.0, Poisson(200.0), Poisson(400.0), Poisson(400.0))
+    calls = count_water_fills(monkeypatch)
     fill_calls = count_fill_steps(monkeypatch)
     inverses = count_box_inverses(monkeypatch)
     alpha_fair_optimal(sc, 0.05)
@@ -370,6 +376,96 @@ def test_alpha_fair_smooth_solve_takes_few_expected_min_calls(monkeypatch):
     assert len(calls) <= 3_500
     assert len(fill_calls) / sc.size <= 1_500
     assert len(inverses) / sc.size <= 170
+
+
+@pytest.mark.parametrize("resource, dists, most", [
+    (540.0, (Normal(100.0, 10.0), Normal(200.0, 20.0), Normal(300.0, 30.0)), 3),
+    (300.0, (Exponential(100.0), Exponential(250.0), Normal(150.0, 40.0)), 12),
+], ids=["normals", "exponentials-and-normal"])
+def test_alpha_fair_smooth_solve_scores_few_floors(resource, dists, most, monkeypatch):
+    # regression: the golden-section search scored 70 floors on each; the
+    # first is 0-fair at its max-utilization allocation, so U* is flat and
+    # the first floor scored inside the interval has g = 0
+    sc = scenario(resource, *dists)
+    calls = count_water_fills(monkeypatch)
+    alpha_fair_optimal(sc, 0.05)
+    assert len(calls) <= most
+
+
+def golden_section_outcome(sc, alpha):
+    """alpha_fair_optimal's (U, fairness, water-fills), or its error, with the
+    golden-section floor search that knot laws use on every law."""
+    def golden_search(score, slope, a, b):
+        allocation_module._golden_search(score, a, b)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(allocation_module, "_slope_search", golden_search)
+        return fair_outcome(sc, alpha, monkeypatch)
+
+
+def fair_outcome(sc, alpha, monkeypatch):
+    calls = count_water_fills(monkeypatch)
+    try:
+        alloc = alpha_fair_optimal(sc, alpha)
+    except allocation_module.OptimizerError as exc:
+        return repr(exc), None, len(calls)
+    return utilization(sc, alloc), fairness(sc, alloc), len(calls)
+
+
+@given(dists=st.lists(st.one_of(strategies.normals(), strategies.heavy_normals(),
+                                strategies.exponentials), min_size=2, max_size=8),
+       ratio=st.floats(0.2, 1.5),
+       alpha=st.sampled_from([0.0, 0.01, 0.05, 0.25, 0.5]))
+# regressions: near a kink of U* where every fill sits on a box end, the
+# fill's own price labelled floors on the wrong side of the kink (the first
+# two), and tangent steps crept towards it for 106 floors (the third)
+@example(dists=[Normal(6.0, 1.0), Normal(1.0, 1.0)], ratio=0.5, alpha=0.01)
+@example(dists=[Normal(1.0, 1.0), Normal(6.0, 1.0)], ratio=1.0, alpha=0.01)
+@example(dists=[Normal(3.0, 10.0), Normal(22.0, 15.0)], ratio=0.203125, alpha=0.25)
+@settings(max_examples=80)
+def test_slope_search_does_as_well_as_golden_section_with_fewer_floors(dists, ratio, alpha):
+    sc = scenario(ratio * sum(d.mean() for d in dists), *dists)
+    golden_u, golden_gap, golden_fills = golden_section_outcome(sc, alpha)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        u, gap, fills = fair_outcome(sc, alpha, monkeypatch)
+    if isinstance(golden_u, str):
+        assert u == golden_u
+        return
+    # A water-fill meets the budget within its tolerance and may overstep a
+    # box by as much, so golden-section can score an allocation a little past
+    # alpha (Normal(1, 1) + Normal(6, 1) at R/Z 1, alpha 0.01: by 2.5e-10).
+    # Each unit of fairness past alpha is worth at most sum mu_i of U.
+    excess = max(0.0, golden_gap - alpha) * sc.total_mean
+    assert u >= golden_u - 1e-11 * abs(golden_u) - excess
+    assert gap <= alpha + 1e-6
+    assert fills <= golden_fills
+
+
+def test_knot_water_fill_stops_once_no_level_is_left(monkeypatch):
+    # regression: each Constant law has the cdf levels 0 and 1 only, so every
+    # midpoint in (0, s_hi) repeated the fills at s_hi, and the water-fills
+    # ran on to BISECTION_STEPS: 2,962 fill steps per group, one per fill now
+    sc = scenario(150.0, Constant(50.0), Constant(80.0), Constant(120.0))
+    fills = count_water_fills(monkeypatch)
+    fill_calls = count_fill_steps(monkeypatch)
+    pof(sc, 0.05)
+    assert len(fill_calls) / sc.size == len(fills)
+
+
+@pytest.mark.parametrize("hi, budget", [((50.0, 80.0), 100.0), ((200.0, 200.0), 150.0)],
+                         ids=["all-midpoints-above", "all-midpoints-below"])
+def test_knot_water_fill_stop_at_an_end_matches_full_loop(hi, budget, monkeypatch):
+    # every midpoint in (0, 1) fills the atoms: above the budget (hi is the
+    # atoms), or below it with hi above it, so one evaluated step settles it
+    curves = [allocation_module._curve(Constant(c), 200.0) for c in (50.0, 80.0)]
+    lo, hi = [0.0, 0.0], list(hi)
+    tol = allocation_module.V_TOLERANCE * min(budget, 1.0)  # the library's stop
+    expected = oracles.water_fill_full_loop(
+        curves, budget, lo, hi, allocation_module.BISECTION_STEPS, tol
+    )
+    fill_calls = count_fill_steps(monkeypatch)
+    assert allocation_module._water_fill(curves, budget, lo, hi)[0] == expected
+    assert len(fill_calls) == len(curves)
 
 
 def test_alpha_fair_below_one_skips_max_utilization(monkeypatch):

@@ -19,7 +19,9 @@ from fairalloc.certificates import (
     scenario_certificate,
     theoretical_bounds,
 )
-from fairalloc.distributions import Binomial, Constant, Exponential, Normal, Poisson, TwoPoint
+from fairalloc.distributions import (
+    Binomial, Constant, Empirical, Exponential, Normal, Poisson, TwoPoint,
+)
 from fairalloc.metrics import Group, Scenario, evaluate
 
 
@@ -38,6 +40,22 @@ def test_exact_lower_deviation_includes_integer_boundary_atom():
     delta = exact_lower_deviation(dist, 0.1)
     assert delta == pytest.approx(dist.cdf(180), abs=0.0)
     assert delta > dist.cdf(179)
+
+
+@pytest.mark.parametrize("law, epsilon", [
+    (lambda c: Exponential(c), 0.1),
+    (lambda c: Normal(100.0 * c, 10.0 * c), 0.1),
+    (lambda c: Empirical((c, 3.0 * c), (0.5, 0.5)), 0.5),
+], ids=["exponential", "normal", "empirical"])
+def test_exact_lower_deviation_is_scale_free(law, epsilon):
+    # regression: the threshold snapped to an integer within an absolute
+    # 1e-9 below 1, so a tiny (1 - eps) mu became 0 and the delta read 0.
+    # The Normal's tail amplifies the rounding of its z-score to about 6 ulps.
+    unit = exact_lower_deviation(law(1.0), epsilon)
+    assert unit > 0.0
+    for c in (1e-300, 1e-200, 1e-12, 1e-3, 1e3, 1e100):
+        scaled = exact_lower_deviation(law(c), epsilon)
+        assert scaled == pytest.approx(unit, rel=16 * 2.0**-52, abs=0.0)
 
 
 def test_exact_lower_deviation_epsilon_validation():
