@@ -9,8 +9,8 @@ constraints, and water-fills inside the boxes. ``pof`` is the ratio of the
 two optima.
 
 All optimizers are deterministic: step-discontinuity residuals are assigned
-greedily by ascending group index, and golden-section ties narrow the floor
-bracket towards its lower end (the slope search on smooth laws has no ties).
+greedily by ascending group index, and the floor search moves by the sign of
+a slope, which has no ties.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from . import certificates, metrics
 from .distributions import DemandDistribution
 from .metrics import Allocation, Scenario
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = sys.float_info.epsilon
 _TINY = math.ulp(0.0)  # the least positive double
 
@@ -300,18 +299,29 @@ def _curve(dist: DemandDistribution, cap: float) -> _Curve:
     return _SmoothCurve(dist, cap) if table is None else _KnotCurve(dist, cap, table)
 
 
-def _levels_at_most(levels, a, b, most):
-    """Whether the sorted lists hold at most `most` (0 or 1) distinct values in [a, b)."""
-    seen = None
+def _step_level(levels, s_lo, s_hi):
+    """The one cdf level L at which knot fills step between s_lo and s_hi, or None.
+
+    levels are the groups' sorted cdf levels. An end at s = 0 or s = 1 is lo
+    or hi, not a fill, and steps there: [s_lo, s_hi), less the level 0, must
+    then hold no level, and L is 0 or the double below 1. Between two fills
+    it must hold one distinct level, which is L.
+    """
+    most = (0.0 < s_lo) + (s_hi < 1.0) - 1
+    if most < 0:
+        return None
+    step = None
     for cdfs in levels:
-        i = bisect.bisect_left(cdfs, a)
-        j = bisect.bisect_left(cdfs, b, i)
+        i = bisect.bisect_left(cdfs, max(s_lo, _TINY))
+        j = bisect.bisect_left(cdfs, s_hi, i)
         if i == j:
             continue
-        if not most or cdfs[i] != cdfs[j - 1] or seen not in (None, cdfs[i]):
-            return False
-        seen = cdfs[i]
-    return True
+        if not most or cdfs[i] != cdfs[j - 1] or step not in (None, cdfs[i]):
+            return None
+        step = cdfs[i]
+    if step is not None:
+        return step
+    return s_lo if s_hi < 1.0 else math.nextafter(1.0, 0.0)
 
 
 def _water_fill(curves, budget, lo, hi, known=(0.0, 1.0)):
@@ -319,16 +329,19 @@ def _water_fill(curves, budget, lo, hi, known=(0.0, 1.0)):
 
     Bisects a common cdf level in [0, 1] until the levels sum to the budget
     within tol = V_TOLERANCE min(budget, 1), the bracket cannot shrink or
-    BISECTION_STEPS halvings have run. When every curve has knots, each fill is constant between
-    adjacent knot cdf levels: on every (L, L'] between adjacent levels. So
-    the loop also stops once [s_lo, s_hi), less the level 0 that bounds no
-    such interval inside (0, 1), holds at most one distinct level while both
-    ends are fills, or none while one end is still s = 0 or s = 1 (lo or hi,
-    not a fill): every later midpoint would repeat the allocation at an end
+    BISECTION_STEPS halvings have run. When every curve has knots, each fill
+    is constant on every (L, L'] between adjacent knot cdf levels. So the
+    loop also stops once [s_lo, s_hi), less the level 0 that bounds no such
+    interval inside (0, 1), holds at most one distinct level while both ends
+    are fills, or none while one end is still s = 0 or s = 1 (lo or hi, not
+    a fill): every later midpoint would repeat the allocation at an end
     already evaluated, so the result is bit-identical to running on. The
     s = 1 end needs hi to sum above the budget: a loop whose s_hi stays at 1
     reaches the stuck midpoint s = 1 within BISECTION_STEPS, which evaluates
-    hi, while no midpoint rounds to 0. Any residual sitting on a survival
+    hi, while no midpoint rounds to 0. The stop then narrows the bracket to
+    (L, the next double) on the level L where the fills step (_step_level):
+    the fills at its ends are those at the old ends, so the allocation is
+    the same and the ends stay known. Any residual sitting on a survival
     step is assigned greedily by ascending group index (utilization-
     equivalent on the flat segment).
 
@@ -342,10 +355,10 @@ def _water_fill(curves, budget, lo, hi, known=(0.0, 1.0)):
     skipped midpoint could not have met the tolerance test, and the
     allocation, rebuilt from the fills at the final ends, is bit-identical.
     Returns (v, (s_lo, s_hi)): the allocation and the final bracket, whose
-    ends carry the same facts for the caller to pass on. Unless the knot
-    stop ended the loop, its midpoint is the level at which the fill met
-    the budget: the midpoint the loop stopped on, or after BISECTION_STEPS
-    halvings one within 2**-60 of both ends.
+    ends carry the same facts for the caller to pass on. Its midpoint is
+    the level s at which the fills meet the budget, and 1 - s their budget
+    price: the midpoint the loop stopped on, the step level of the knot
+    stop, or after BISECTION_STEPS halvings one within 2**-60 of both ends.
     """
     tol = V_TOLERANCE * min(budget, 1.0)
     feas_tol = 1e-9 * budget
@@ -385,8 +398,9 @@ def _water_fill(curves, budget, lo, hi, known=(0.0, 1.0)):
         if stuck:
             break
         if levels is not None and (s_hi < 1.0 or sum_hi > budget + tol):
-            most = (0.0 < s_lo) + (s_hi < 1.0) - 1
-            if most >= 0 and _levels_at_most(levels, max(s_lo, _TINY), s_hi, most):
+            step = _step_level(levels, s_lo, s_hi)
+            if step is not None:
+                s_lo, s_hi = step, math.nextafter(step, 1.0)
                 break
     if v_low is None:
         v_low = [fill(s_lo) for fill in fills]
@@ -468,9 +482,8 @@ def alpha_fair_optimal(scenario: Scenario, alpha: float) -> Allocation:
     turns the band ell <= q_i <= min(ell + alpha, 1) into box constraints
     (q_i is continuous and nondecreasing in v_i), solved by clamped
     water-filling. The best utilization U*(ell) is concave, so one search
-    over the whole interval finds the best floor: on smooth laws a root
-    search on the slope of U*, which each floor's water-fill price gives,
-    and with any knot law a golden-section search on the values of U*.
+    over the whole interval finds the best floor: a root search on the
+    slope of U*, which each floor's water-fill price gives.
     The result satisfies Q <= alpha + 1e-6 and sums to R within 1e-9 R.
     Every tolerance in resource units is relative to R (to min(R, 1) below
     R = 1), so scaling every law and R by one factor scales the allocation
@@ -647,8 +660,9 @@ def _floor_sweep(curves, budget, alpha):
     # The right derivative g of U*(ell) at a scored floor, with its rounding
     # bound. The water-fill met the budget at the cdf level s in the middle
     # of its final bracket, so lam = 1 - s is its budget price: every group
-    # inside its box has survival lam. A box end that binds (a low end with
-    # survival S_i below lam, a high end with S_i above it) and moves with
+    # inside its box has survival lam, or on a knot law lam lies between the
+    # survivals left and right of its fill. A box end that binds (a low end
+    # with survival S_i below lam, a high end with S_i above it) and moves with
     # ell changes E[min(C_i, v)] - lam v at rate mu_i (1 - lam / S_i). So g is
     # the right derivative of Phi(ell') = lam R + sum_i max over box_i(ell')
     # of E[min(C_i, v)] - lam v, which is concave in ell', lies above U* and
@@ -711,43 +725,15 @@ def _floor_sweep(curves, budget, alpha):
     # ell <= q_i <= ell + alpha (U is nondecreasing in v, and every floor in
     # the interval has sum(highs) >= R, so leftover budget can be spent inside
     # the boxes). That set is jointly convex in (q, ell) and the objective is
-    # linear, so U* is concave. Both searches score both ends first: a
+    # linear, so U* is concave. The search scores both ends first: a
     # float-degenerate interval can differ in feasibility at its two ends.
-    # Smooth laws give g; on a knot law a fill that ends on a step has an
-    # interval of prices, and comparing values finds the better floor there.
-    if all(isinstance(c, _SmoothCurve) for c in curves):
-        _slope_search(score, slope, ell_min, ell_max)
-    else:
-        _golden_search(score, ell_min, ell_max)
+    _slope_search(score, slope, ell_min, ell_max)
     if best_v is None:
         raise InfeasibleError(
             f"availability floor sweep found no feasible point in "
             f"[{ell_min!r}, {ell_max!r}] for alpha={alpha!r}"
         )
     return best_v
-
-
-def _golden_search(score, a, b):
-    """Golden-section search for the best floor in [a, b] by the scores' values.
-
-    The stop is an absolute width, as where U* is flat the ties move the
-    bracket towards the dense doubles at 0.
-    """
-    score(a)
-    score(b, a)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = score(c, a, b)
-    fd = score(d, c, b)
-    while b - a > 1e-15:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = score(c, a, d)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = score(d, c, b)
 
 
 def _slope_search(score, slope, a, b):

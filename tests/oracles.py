@@ -182,6 +182,32 @@ def floor_interval_bisect(curves, budget, alpha, steps):
     return min(ell_min, ell_max), ell_max
 
 
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_search(score, a, b):
+    """Golden-section search for the best floor in [a, b] by the scores' values.
+
+    The stop is an absolute width, as where U* is flat the ties move the
+    bracket towards the dense doubles at 0.
+    """
+    score(a)
+    score(b, a)
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc = score(c, a, b)
+    fd = score(d, c, b)
+    while b - a > 1e-15:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = score(c, a, d)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = score(d, c, b)
+
+
 def water_fill_full_loop(curves, budget, lo, hi, steps, tol):
     """The clamped water-fill with no early stop: every cdf-level halving runs.
 
