@@ -85,9 +85,22 @@ class PofResult:
 
 def mean_weighted(scenario: Scenario) -> Allocation:
     """v_i = R mu_i / Z: every group gets the same v_i / mu_i ratio R / Z."""
+    return Allocation(tuple(_mean_shares(scenario.resource, scenario)))
+
+
+def _mean_shares(amount: float, scenario: Scenario) -> list:
+    """amount mu_i / Z for each group, computed as (amount mu_i) / Z.
+
+    amount and Z are first scaled by the one power of two that brings Z into
+    [0.5, 1). That is exact unless amount / Z is below the least normal
+    double, so the bits are those of the plain product wherever it stays in
+    range, and the product no longer overflows or underflows at extreme units
+    of demand.
+    """
     z = scenario.total_mean
-    r = scenario.resource
-    return Allocation(tuple(r * m / z for m in scenario.means))
+    exp = math.frexp(z)[1]
+    a, z = math.ldexp(amount, -exp), math.ldexp(z, -exp)
+    return [a * m / z for m in scenario.means]
 
 
 def _reached(f, strict):
@@ -450,9 +463,8 @@ def _prologue(scenario: Scenario):
         # All demand satisfiable: saturate every support, spread the excess in
         # mean proportions. Utilization is flat here; this choice keeps q_i = 1
         # for every group, hence 0-fairness.
-        excess = budget - sum(sups)
-        z = scenario.total_mean
-        return Allocation(tuple(s + excess * m / z for s, m in zip(sups, scenario.means))), None
+        shares = _mean_shares(budget - sum(sups), scenario)
+        return Allocation(tuple(s + x for s, x in zip(sups, shares))), None
     return None, [_curve(g.dist, budget) for g in scenario.groups]
 
 

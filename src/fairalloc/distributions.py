@@ -10,7 +10,11 @@ at continuity points.
 
 Binomial and Poisson share one lattice implementation, ``_Lattice``: one tail
 span, mean +- (10 sd + 40) in the support, and knot tables that end at the
-budget or at the first zero survival, past which E[min] is flat.
+budget or at the first zero survival, past which E[min] is flat. Constant,
+TwoPoint and Empirical share one atom implementation, ``_Atoms``: the sorted
+atoms with their cdf and top-summed survival, from which it answers cdf,
+survival, quantile and the support top, and builds knot tables with one knot
+per atom up to the budget.
 """
 
 from __future__ import annotations
@@ -129,8 +133,49 @@ class DemandDistribution(ABC):
         return spec
 
 
+class _Atoms(DemandDistribution):
+    """A law on finitely many atoms, from three arrays it sets at construction.
+
+    ``_vals`` holds the sorted atoms, ``_cum`` the cdf at each, and
+    ``_suffix[i]`` = Pr[C > _vals[i-1]], with 1 first and 0 last. A law sums
+    its suffix from the top, so tail mass far below the 1e-16 spacing of
+    1 - cdf keeps its value. A law gives ``mean``, ``_expected_min`` and
+    ``sample``; the rest is written once, here.
+    """
+
+    def _set_atoms(self, vals, cum, suffix):
+        for name, column in (("_vals", vals), ("_cum", cum), ("_suffix", suffix)):
+            object.__setattr__(self, name, np.asarray(column, dtype=float))
+
+    def cdf(self, x: float) -> float:
+        idx = int(np.searchsorted(self._vals, x, side="right"))
+        return 0.0 if idx == 0 else float(self._cum[idx - 1])
+
+    def survival(self, x: float) -> float:
+        idx = int(np.searchsorted(self._vals, x, side="right"))
+        return float(self._suffix[idx])
+
+    def _quantile(self, p: float) -> float:
+        idx = int(np.searchsorted(self._cum, p, side="left"))
+        idx = min(idx, self._vals.size - 1)
+        return float(self._vals[idx])
+
+    def support_max(self) -> float:
+        return float(self._vals[-1])
+
+    def expected_min_knots(self, cap):
+        # a knot at 0 and at each atom up to the cap; the curve is linear past the last
+        lo = int(self._vals[0] == 0.0)  # an atom at 0 is the knot at 0
+        hi = int(np.searchsorted(self._vals, cap, side="right"))
+        xs = [0.0] + self._vals[lo:hi].tolist()
+        cdfs = ([] if lo else [0.0]) + self._cum[:hi].tolist()
+        sfs = self._suffix[lo:hi + 1].tolist()
+        ems = [self._expected_min(x) for x in xs]
+        return (xs, cdfs, sfs, ems)
+
+
 @dataclass(frozen=True)
-class Constant(DemandDistribution):
+class Constant(_Atoms):
     """Deterministic demand of exactly ``c`` candidates."""
 
     c: float
@@ -138,18 +183,11 @@ class Constant(DemandDistribution):
     spec_keys: ClassVar[tuple] = ("c",)
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _require_positive(self.c, "constant c"))
+        c = _require_positive(self.c, "constant c")
+        object.__setattr__(self, "c", c)
+        self._set_atoms([c], [1.0], [1.0, 0.0])
 
     def mean(self) -> float:
-        return self.c
-
-    def cdf(self, x: float) -> float:
-        return 1.0 if x >= self.c else 0.0
-
-    def survival(self, x: float) -> float:
-        return 0.0 if x >= self.c else 1.0
-
-    def _quantile(self, p: float) -> float:
         return self.c
 
     def _expected_min(self, v: float) -> float:
@@ -160,22 +198,9 @@ class Constant(DemandDistribution):
             return self.c
         return np.full(size, self.c)
 
-    def support_max(self) -> float:
-        return self.c
-
-    def expected_min_knots(self, cap):
-        top = min(self.c, cap)
-        at_or_past = self.c <= cap
-        return (
-            [0.0, top],
-            [0.0, 1.0 if at_or_past else 0.0],
-            [1.0, 0.0 if at_or_past else 1.0],
-            [0.0, top],
-        )
-
 
 @dataclass(frozen=True)
-class TwoPoint(DemandDistribution):
+class TwoPoint(_Atoms):
     """Mass (k-1)/k at 0 and 1/k at k; the mean is exactly 1 for any k >= 1.
 
     The canonical heavy-lower-tail demand: Pr[C < E[C]] = 1 - 1/k, so no
@@ -191,26 +216,10 @@ class TwoPoint(DemandDistribution):
         if k < 1.0:
             raise DistributionError(f"two_point k must be >= 1 (mass (k-1)/k at 0), got {k!r}")
         object.__setattr__(self, "k", k)
+        self._set_atoms([0.0, k], [(k - 1.0) / k, 1.0], [1.0, 1.0 / k, 0.0])
 
     def mean(self) -> float:
         return 1.0
-
-    def cdf(self, x: float) -> float:
-        if x < 0.0:
-            return 0.0
-        if x < self.k:
-            return (self.k - 1.0) / self.k
-        return 1.0
-
-    def survival(self, x: float) -> float:
-        if x < 0.0:
-            return 1.0
-        if x < self.k:
-            return 1.0 / self.k
-        return 0.0
-
-    def _quantile(self, p: float) -> float:
-        return 0.0 if p <= (self.k - 1.0) / self.k else self.k
 
     def _expected_min(self, v: float) -> float:
         return min(v, self.k) / self.k
@@ -219,24 +228,6 @@ class TwoPoint(DemandDistribution):
         if size is None:
             return self.k if rng.random() * self.k < 1.0 else 0.0
         return np.where(rng.random(size) * self.k < 1.0, self.k, 0.0)
-
-    def support_max(self) -> float:
-        return self.k
-
-    def expected_min_knots(self, cap):
-        if self.k <= cap:
-            return (
-                [0.0, self.k],
-                [(self.k - 1.0) / self.k, 1.0],
-                [1.0 / self.k, 0.0],
-                [0.0, 1.0],
-            )
-        return (
-            [0.0, cap],
-            [(self.k - 1.0) / self.k, (self.k - 1.0) / self.k],
-            [1.0 / self.k, 1.0 / self.k],
-            [0.0, cap / self.k],
-        )
 
 
 class _GuideTable:
@@ -572,7 +563,7 @@ class Exponential(DemandDistribution):
 
 
 @dataclass(frozen=True)
-class Empirical(DemandDistribution):
+class Empirical(_Atoms):
     """Finite distribution over nonnegative atoms with given probabilities.
 
     Atoms are sorted and duplicates merged at construction; probabilities must
@@ -616,31 +607,14 @@ class Empirical(DemandDistribution):
             raise DistributionError("empirical distribution must have positive mean")
         object.__setattr__(self, "values", tuple(keep_vals))
         object.__setattr__(self, "probabilities", tuple(keep_probs))
-        object.__setattr__(self, "_vals", vals)
         object.__setattr__(self, "_probs", probs)
-        object.__setattr__(self, "_cum", np.cumsum(probs))
-        # suffix[i] = Pr[C > values[i-1]], summed from the top so tail mass
-        # far below the 1e-16 spacing of 1 - cdf keeps its value
+        object.__setattr__(self, "_mean", mean)
         suffix = np.concatenate((np.cumsum(probs[::-1])[::-1], [0.0]))
         suffix[0] = 1.0
-        object.__setattr__(self, "_suffix", suffix)
-        object.__setattr__(self, "_mean", mean)
+        self._set_atoms(vals, np.cumsum(probs), suffix)
 
     def mean(self) -> float:
         return self._mean
-
-    def cdf(self, x: float) -> float:
-        idx = int(np.searchsorted(self._vals, x, side="right"))
-        return 0.0 if idx == 0 else float(self._cum[idx - 1])
-
-    def survival(self, x: float) -> float:
-        idx = int(np.searchsorted(self._vals, x, side="right"))
-        return float(self._suffix[idx])
-
-    def _quantile(self, p: float) -> float:
-        idx = int(np.searchsorted(self._cum, p, side="left"))
-        idx = min(idx, len(self.values) - 1)
-        return float(self._vals[idx])
 
     def _expected_min(self, v: float) -> float:
         return float(np.minimum(self._vals, v) @ self._probs)
@@ -652,18 +626,6 @@ class Empirical(DemandDistribution):
 
     def sample(self, rng, size=None):
         return self._table.sample(rng, size)
-
-    def support_max(self) -> float:
-        return float(self._vals[-1])
-
-    def expected_min_knots(self, cap):
-        lo = int(self._vals[0] == 0.0)  # an atom at 0 is the knot at 0
-        hi = int(np.searchsorted(self._vals, cap, side="right"))
-        xs = [0.0] + list(self.values[lo:hi])
-        cdfs = ([] if lo else [0.0]) + self._cum[:hi].tolist()
-        sfs = self._suffix[lo:hi + 1].tolist()
-        ems = [self._expected_min(x) for x in xs]
-        return (xs, cdfs, sfs, ems)
 
 
 # kind tag -> family class, for parsing tagged specs

@@ -96,7 +96,12 @@ class McGroupReport:
 
 @dataclass(frozen=True)
 class McReport:
-    """Sampled counterpart of an exact evaluation, with combined errors."""
+    """Sampled counterpart of an exact evaluation, with combined errors.
+
+    The fairness standard error is a heuristic: it combines the errors of
+    the groups with the highest and the lowest sampled availability as if
+    those two groups had not been selected by their estimates.
+    """
 
     groups: tuple
     utilization: McEstimate

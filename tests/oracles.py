@@ -57,6 +57,18 @@ def discrete_atoms(dist):
     raise ValueError(f"{kind} is not atom-supported")
 
 
+def atom_law_closed_forms(dist, x, p):
+    """(cdf(x), survival(x), quantile(p), support top) of a Constant or TwoPoint, piecewise."""
+    if dist.kind == "constant":
+        c = dist.c
+        return (1.0 if x >= c else 0.0, 0.0 if x >= c else 1.0, c, c)
+    k = dist.k
+    low = (k - 1.0) / k
+    cdf = 0.0 if x < 0.0 else low if x < k else 1.0
+    sf = 1.0 if x < 0.0 else 1.0 / k if x < k else 0.0
+    return (cdf, sf, 0.0 if p <= low else k, k)
+
+
 def lattice_knots_to_cap(dist, cap):
     """Binomial or Poisson knot table at every integer up to ceil(cap), clipped
     to the support, the way it was tabulated before tables ended at the law's

@@ -316,7 +316,7 @@ def test_lattice_knot_tables_end_at_the_tail(dist, cap):
     assert n <= 4.0 * (dist.mean() + 40.0 * sd + 40.0) + 1.0
 
 
-@given(dist=strategies.large_empiricals(),
+@given(dist=st.one_of(strategies.large_empiricals(), strategies.constants, strategies.two_points),
        where=st.sampled_from(("below", "on", "between", "past")),
        pick=st.floats(0.0, 1.0))
 @example(dist=Empirical((0.0, 2.0, 5.0), (0.2, 0.3, 0.5)), where="below", pick=0.0)
@@ -324,9 +324,12 @@ def test_lattice_knot_tables_end_at_the_tail(dist, cap):
 @example(dist=Empirical((0.0, 2.0, 5.0), (0.2, 0.3, 0.5)), where="between", pick=0.0)
 @example(dist=Empirical((0.0, 2.0, 5.0), (0.2, 0.3, 0.5)), where="past", pick=0.0)
 @example(dist=Empirical((1.0, 2.0), (0.5, 0.5)), where="below", pick=0.0)
+@example(dist=Constant(3.0), where="below", pick=0.0)
+@example(dist=TwoPoint(4.0), where="below", pick=0.0)
+@example(dist=TwoPoint(1.0), where="past", pick=0.0)
 @settings(max_examples=100)
 def test_empirical_knot_tables_equal_per_atom_lookups(dist, where, pick):
-    values = dist.values
+    values = oracles.discrete_atoms(dist)[0].tolist()
     i = int(pick * (len(values) - 1))
     cap = {
         "below": values[0] / 2.0,
@@ -338,6 +341,29 @@ def test_empirical_knot_tables_equal_per_atom_lookups(dist, where, pick):
     expected = (xs, [dist.cdf(x) for x in xs], [dist.survival(x) for x in xs],
                 [dist._expected_min(x) for x in xs])
     assert dist.expected_min_knots(cap) == expected
+
+
+@given(dist=st.one_of(st.floats(1e-300, 1e300).map(Constant), st.floats(1.0, 1e300).map(TwoPoint)),
+       where=st.sampled_from(("below", "on", "between", "past")),
+       pick=st.floats(0.0, 1.0),
+       p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(dist=TwoPoint(4.0), where="on", pick=0.0, p=0.75)
+@example(dist=TwoPoint(1.0), where="between", pick=0.5, p=5e-324)
+@example(dist=Constant(2.0), where="on", pick=0.0, p=0.5)
+@settings(max_examples=300)
+def test_atom_laws_keep_their_closed_forms(dist, where, pick, p):
+    atoms = oracles.discrete_atoms(dist)[0].tolist()
+    top = atoms[-1]
+    x = {
+        "below": -pick * top - 5e-324,
+        "on": atoms[min(int(pick * len(atoms)), len(atoms) - 1)],
+        # strictly inside (0, top), the one gap below the top atom of either law
+        "between": min(max(pick * top, 5e-324), math.nextafter(top, 0.0)),
+        "past": math.nextafter(top, math.inf) + pick * top,
+    }[where]
+    got = (dist.cdf(x), dist.survival(x), dist.quantile(p), dist.support_max())
+    assert got == oracles.atom_law_closed_forms(dist, x, p)
+    assert all(type(value) is float for value in got)
 
 
 # ---------------------------------------------------------------- sampling
