@@ -252,7 +252,8 @@ def _cmd_pof(args, sf) -> None:
 
 def _cmd_curve(args, sf) -> None:
     scenario = sf.scenario
-    v_max = args.v_max if args.v_max is not None else 2.0 * max(scenario.means)
+    # twice the largest mean, held finite when that mean passes half the largest double
+    v_max = args.v_max if args.v_max is not None else min(2.0 * max(scenario.means), sys.float_info.max)
     series = {
         group.name: scenario_io.emit_availability_curve(group.dist, v_max, args.steps)
         for group in scenario.groups

@@ -6,7 +6,8 @@ E[min(C, v)] that availability and utilization are built from.
 
 Every variant has strictly positive mean. ``expected_min`` is nondecreasing
 and concave in ``v``, bounded by ``min(v, mean)``, with slope ``Pr[C > v]``
-at continuity points.
+at continuity points. ``_expected_min_at`` gives it over an array of levels,
+equal to the scalar bit for bit.
 
 Binomial and Poisson share one lattice implementation, ``_Lattice``: one tail
 span, mean +- (10 sd + 40) in the support, and knot tables that end at the
@@ -88,6 +89,14 @@ class DemandDistribution(ABC):
     @abstractmethod
     def _expected_min(self, v: float) -> float: ...
 
+    def _expected_min_at(self, vs):
+        """_expected_min at each entry of a float array of valid levels, bit for bit.
+
+        This default maps the scalar form over the array; atom and lattice
+        laws override it with one numpy pass.
+        """
+        return np.array([self._expected_min(v) for v in vs.tolist()])
+
     @abstractmethod
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         """Draw from the distribution; a float when size is None, else an array.
@@ -136,15 +145,19 @@ class DemandDistribution(ABC):
 class _Atoms(DemandDistribution):
     """A law on finitely many atoms, from three arrays it sets at construction.
 
-    ``_vals`` holds the sorted atoms, ``_cum`` the cdf at each, and
-    ``_suffix[i]`` = Pr[C > _vals[i-1]], with 1 first and 0 last. A law sums
-    its suffix from the top, so tail mass far below the 1e-16 spacing of
-    1 - cdf keeps its value. A law gives ``mean``, ``_expected_min`` and
+    ``_vals`` holds the sorted atoms, ``_points`` the same atoms as a tuple of
+    floats, ``_cum`` the cdf at each, and ``_suffix[i]`` = Pr[C > _vals[i-1]],
+    with 1 first and 0 last. A law sums its suffix from the top, so tail mass
+    far below the 1e-16 spacing of 1 - cdf keeps its value. A law gives
+    ``mean``, ``_expected_min``, its array form ``_expected_min_at`` and
     ``sample``; the rest is written once, here.
     """
 
-    def _set_atoms(self, vals, cum, suffix):
-        for name, column in (("_vals", vals), ("_cum", cum), ("_suffix", suffix)):
+    def _set_atoms(self, points, cum, suffix):
+        # knot tables take their positions from points, so a table shares
+        # the law's float objects rather than holding a copy of each atom
+        object.__setattr__(self, "_points", points)
+        for name, column in (("_vals", points), ("_cum", cum), ("_suffix", suffix)):
             object.__setattr__(self, name, np.asarray(column, dtype=float))
 
     def cdf(self, x: float) -> float:
@@ -167,10 +180,10 @@ class _Atoms(DemandDistribution):
         # a knot at 0 and at each atom up to the cap; the curve is linear past the last
         lo = int(self._vals[0] == 0.0)  # an atom at 0 is the knot at 0
         hi = int(np.searchsorted(self._vals, cap, side="right"))
-        xs = [0.0] + self._vals[lo:hi].tolist()
+        xs = [0.0, *self._points[lo:hi]]
         cdfs = ([] if lo else [0.0]) + self._cum[:hi].tolist()
         sfs = self._suffix[lo:hi + 1].tolist()
-        ems = [self._expected_min(x) for x in xs]
+        ems = self._expected_min_at(np.concatenate(([0.0], self._vals[lo:hi]))).tolist()
         return (xs, cdfs, sfs, ems)
 
 
@@ -185,13 +198,16 @@ class Constant(_Atoms):
     def __post_init__(self):
         c = _require_positive(self.c, "constant c")
         object.__setattr__(self, "c", c)
-        self._set_atoms([c], [1.0], [1.0, 0.0])
+        self._set_atoms((c,), [1.0], [1.0, 0.0])
 
     def mean(self) -> float:
         return self.c
 
     def _expected_min(self, v: float) -> float:
         return self.c if v >= self.c else v
+
+    def _expected_min_at(self, vs):
+        return np.minimum(vs, self.c)
 
     def sample(self, rng, size=None):
         if size is None:
@@ -216,13 +232,16 @@ class TwoPoint(_Atoms):
         if k < 1.0:
             raise DistributionError(f"two_point k must be >= 1 (mass (k-1)/k at 0), got {k!r}")
         object.__setattr__(self, "k", k)
-        self._set_atoms([0.0, k], [(k - 1.0) / k, 1.0], [1.0, 1.0 / k, 0.0])
+        self._set_atoms((0.0, k), [(k - 1.0) / k, 1.0], [1.0, 1.0 / k, 0.0])
 
     def mean(self) -> float:
         return 1.0
 
     def _expected_min(self, v: float) -> float:
         return min(v, self.k) / self.k
+
+    def _expected_min_at(self, vs):
+        return np.minimum(vs, self.k) / self.k
 
     def sample(self, rng, size=None):
         if size is None:
@@ -329,6 +348,12 @@ class _Lattice(DemandDistribution):
         m = math.floor(v)
         partial = self.mean() * float(self._size_biased_cdf_at(m - 1)) if m >= 1 else 0.0
         return partial + v * float(self._sf_at(m))
+
+    def _expected_min_at(self, vs):
+        # the hooks run once per distinct floor(v), which a fine grid shares
+        ms, at = np.unique(np.floor(vs), return_inverse=True)
+        partial = np.where(ms >= 1.0, self.mean() * self._size_biased_cdf_at(np.maximum(ms - 1.0, 0.0)), 0.0)
+        return np.where(vs >= self.support_max(), self.mean(), partial[at] + vs * self._sf_at(ms)[at])
 
     def expected_min_knots(self, cap):
         # ends at the cap or at the first zero survival, past which it is flat
@@ -562,12 +587,35 @@ class Exponential(DemandDistribution):
         return math.inf
 
 
+def _prefix_sums(terms):
+    """[0, t0, t0 + t1, ..., sum(terms)], each sum as if added in twice the precision, then rounded.
+
+    np.cumsum adds left to right; TwoSum recovers the rounding error of each
+    of its additions exactly, and the running sum of those errors corrects
+    each prefix: Sum2 of Ogita, Rump & Oishi, "Accurate sum and dot
+    product", SIAM J. Sci. Comput. 2005, applied to every prefix at once.
+    """
+    sums = np.cumsum(terms)
+    before, after = sums[:-1], sums[1:]
+    virtual = after - before
+    errors = (before - (after - virtual)) + (terms[1:] - virtual)
+    out = np.zeros(terms.size + 1)
+    out[1:] = sums
+    out[2:] += np.cumsum(errors)
+    return out
+
+
 @dataclass(frozen=True)
 class Empirical(_Atoms):
     """Finite distribution over nonnegative atoms with given probabilities.
 
     Atoms are sorted and duplicates merged at construction; probabilities must
     sum to 1 within 1e-12 and are renormalized exactly afterwards.
+
+    E[min(C, v)] = _below[i] + v _above[i], where i atoms are <= v,
+    _below[i] sums x p over the atoms below i and _above[i] sums p over the
+    rest. Both are compensated prefix sums, and the mean is _below's total,
+    so E[min] reaches the mean exactly at the top atom.
     """
 
     values: tuple
@@ -600,24 +648,30 @@ class Empirical(_Atoms):
             else:
                 keep_vals.append(x)
                 keep_probs.append(w)
-        vals = np.asarray(keep_vals)
-        probs = np.asarray(keep_probs)
-        mean = float(vals @ probs)
-        if mean <= 0.0:
-            raise DistributionError("empirical distribution must have positive mean")
         object.__setattr__(self, "values", tuple(keep_vals))
         object.__setattr__(self, "probabilities", tuple(keep_probs))
-        object.__setattr__(self, "_probs", probs)
-        object.__setattr__(self, "_mean", mean)
+        probs = np.asarray(keep_probs)
         suffix = np.concatenate((np.cumsum(probs[::-1])[::-1], [0.0]))
         suffix[0] = 1.0
-        self._set_atoms(vals, np.cumsum(probs), suffix)
+        self._set_atoms(self.values, np.cumsum(probs), suffix)
+        below = _prefix_sums(self._vals * probs)
+        mean = float(below[-1])
+        if mean <= 0.0:
+            raise DistributionError("empirical distribution must have positive mean")
+        object.__setattr__(self, "_below", below)
+        object.__setattr__(self, "_above", _prefix_sums(probs[::-1])[::-1])
+        object.__setattr__(self, "_mean", mean)
 
     def mean(self) -> float:
         return self._mean
 
     def _expected_min(self, v: float) -> float:
-        return float(np.minimum(self._vals, v) @ self._probs)
+        i = int(self._vals.searchsorted(v, side="right"))
+        return float(self._below[i]) + v * float(self._above[i])
+
+    def _expected_min_at(self, vs):
+        i = self._vals.searchsorted(vs, side="right")
+        return self._below[i] + vs * self._above[i]
 
     @functools.cached_property
     def _table(self) -> _GuideTable:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Optional
 
+import numpy as np
+
 from . import __version__, certificates, montecarlo
 from .distributions import FAMILIES, DemandDistribution, DistributionError, Empirical
 from .metrics import Group, Scenario, check_alpha, clamp_availability
@@ -194,19 +196,24 @@ def input_digest(text: str) -> str:
 
 
 def emit_availability_curve(dist: DemandDistribution, v_max: float, steps: int):
-    """Rows (v, availability, expected_min) on a uniform grid over [0, v_max]."""
-    if not isinstance(steps, int) or steps < 2:
+    """Rows (v, availability, expected_min) on a uniform grid over [0, v_max].
+
+    The grid is i * (v_max / (steps - 1)), ending at v_max itself, and its
+    E[min] column is one array call on the law. Only availabilities outside
+    [0, 1] can need ``clamp_availability``, so only those go through it.
+    """
+    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
     if not math.isfinite(v_max) or v_max <= 0.0:
         raise ValueError(f"v_max must be a positive finite real, got {v_max!r}")
-    rows = []
-    mean = dist.mean()
-    span = v_max / (steps - 1)
-    for i in range(steps):
-        v = v_max if i == steps - 1 else i * span
-        em = dist.expected_min(v)
-        rows.append((v, clamp_availability(em / mean), em))
-    return rows
+    steps = int(steps)
+    vs = np.arange(steps) * (v_max / (steps - 1))
+    vs[-1] = v_max
+    ems = dist._expected_min_at(vs)
+    qs = ems / dist.mean()
+    for i in np.flatnonzero((qs < 0.0) | (qs > 1.0)).tolist():
+        qs[i] = clamp_availability(float(qs[i]))
+    return list(zip(vs.tolist(), qs.tolist(), ems.tolist()))
 
 
 _CSV_SPECIAL = re.compile(r'[",\r\n]')

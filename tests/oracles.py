@@ -97,6 +97,27 @@ def expected_min_brute(values, probs, v):
     return float(np.minimum(values, v) @ probs)
 
 
+def atom_expected_min_exact(dist, v):
+    """E[min(C, v)] of a Constant, TwoPoint or Empirical law as an exact Fraction.
+
+    Summed over the law's stored atoms and probabilities, with TwoPoint's
+    1/k at k exact rather than rounded. An Empirical law's terms p min(x, v)
+    are products of doubles, num / 2**k each, so they are summed as integers
+    over the largest 2**k: exact, and far faster than adding Fractions.
+    """
+    if dist.kind == "constant":
+        return Fraction(min(dist.c, v))
+    if dist.kind == "two_point":
+        return Fraction(min(dist.k, v)) / Fraction(dist.k)
+    terms = []
+    for x, p in zip(dist.values, dist.probabilities):
+        num_x, den_x = min(x, v).as_integer_ratio()
+        num_p, den_p = p.as_integer_ratio()
+        terms.append((num_x * num_p, (den_x * den_p).bit_length() - 1))
+    top = max(k for _, k in terms)
+    return Fraction(sum(num << (top - k) for num, k in terms), 1 << top)
+
+
 def expected_min_quad(dist, v):
     """Quadrature oracle for smooth laws, integrating min(x, v) f(x) dx."""
     if dist.kind == "normal":

@@ -341,6 +341,30 @@ def test_criterion_12_large_poisson_pof():
     _criterion(12, f"300-group Poisson pof ({elapsed:.2f} s)", problems)
 
 
+def wide_empirical_scenario(groups):
+    """The scale matrix's Empirical laws at R/Z 0.9: 4,000 atoms each from U(0.05, 200), seed 0,
+    with equal weights."""
+    rng = np.random.default_rng(0)
+    laws = [Empirical(tuple(rng.uniform(0.05, 200.0, 4000)), (1 / 4000,) * 4000) for _ in range(groups)]
+    return scenario(0.9 * sum(law.mean() for law in laws), *laws)
+
+
+@pytest.mark.parametrize("groups, budget", [(30, 0.25), (300, 2.0)])
+def test_criterion_12_wide_empirical_pof(groups, budget):
+    # Each knot table takes its E[min] column from the law's prefix sums; one
+    # O(atoms) dot product per knot took these cells about 0.7 s and 6 s.
+    problems = []
+    sc = wide_empirical_scenario(groups)
+    start = time.process_time()
+    result = pof(sc, 0.05)
+    elapsed = time.process_time() - start
+    if not 1.0 <= result.pof < math.inf:
+        problems.append(f"pof {result.pof!r} outside [1, inf)")
+    if elapsed > budget:
+        problems.append(f"runtime {elapsed:.3f}s > {budget}s")
+    _criterion(12, f"{groups} x 4,000-atom Empirical pof ({elapsed:.2f} s)", problems)
+
+
 def test_criterion_12_large_poisson_pof_peak_rss():
     # Peak RSS is per process, so the solve runs in a fresh interpreter; it
     # peaked at 2.85 GB when the knot tables ran up to the budget. The child

@@ -497,6 +497,18 @@ def test_curve_csv_monotone(capsys, tmp_path):
     assert by_group["gauss"][-1] >= 0.999
 
 
+def test_curve_default_grid_end_stays_finite_past_half_the_largest_double(capsys, tmp_path):
+    # regression: twice a mean of 1e308 is inf, and curve exited 1 naming --v-max
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"resource": 1e308, "groups": [
+        {"name": "a", "distribution": {"kind": "constant", "c": 1e308}}]}))
+    code, out, err = run(capsys, "curve", "--scenario", str(path), "--steps", "5")
+    assert code == EXIT_OK, err
+    result = json.loads(out)["result"]
+    assert result["v_max"] == 1.7976931348623157e308
+    assert result["series"]["a"][-1] == [1.7976931348623157e308, 1.0, 1e308]
+
+
 MIX7 = pathlib.Path(__file__).parent / "golden" / "scenarios" / "mix7_rz09.json"
 
 

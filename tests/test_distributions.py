@@ -247,6 +247,61 @@ def test_expected_min_saturates_exactly_at_support_top():
         assert dist.expected_min(dist.support_max() + 12.3) == dist.mean()
 
 
+WIDE_ATOM_LAWS = (st.floats(1e-300, 1e300).map(Constant), st.floats(1.0, 1e300).map(TwoPoint))
+
+
+def _grid_with_atoms(dist, scales):
+    """0, each atom or integer of the law with its nextafter neighbours, the support top,
+    points past it, and scales times the top; a smooth law's atom is its mean."""
+    if dist.kind in ("normal", "exponential"):
+        atoms = [dist.mean()]
+    else:
+        atoms = oracles.discrete_atoms(dist)[0].tolist()
+    top = dist.support_max() if math.isfinite(dist.support_max()) else atoms[-1]
+    grid = {0.0, top, math.nextafter(top, math.inf), 2.0 * top + 1.0}
+    grid.update(s * top for s in scales)
+    for x in atoms:
+        grid.update((x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)))
+    return np.array(sorted(grid))
+
+
+@given(dist=st.one_of(*WIDE_ATOM_LAWS, strategies.binomials, strategies.poissons, strategies.normals(),
+                      strategies.heavy_normals(), strategies.exponentials, strategies.large_empiricals()),
+       scales=st.lists(st.floats(0.0, 3.0), max_size=20))
+@example(dist=Binomial(25, 0.3), scales=[])
+@example(dist=Binomial(1, 0.5), scales=[0.5])
+@example(dist=Poisson(0.1), scales=[])
+@example(dist=Empirical((0.0, 2.0, 5.0), (0.2, 0.3, 0.5)), scales=[0.3])
+@example(dist=TwoPoint(1.0), scales=[])
+def test_array_expected_min_equals_the_scalar_bit_for_bit(dist, scales):
+    vs = _grid_with_atoms(dist, scales)
+    got = dist._expected_min_at(vs)
+    expected = np.array([dist.expected_min(v) for v in vs.tolist()])
+    assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+
+
+@given(dist=st.one_of(*WIDE_ATOM_LAWS, strategies.large_empiricals()),
+       picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+@example(dist=Empirical(tuple(np.random.default_rng(0).uniform(0.05, 200.0, 4000)), (1 / 4000,) * 4000),
+         picks=[0.0, 0.37, 0.5, 1.0])
+@example(dist=Empirical((1.0, 6.0), (0.4, 0.6)), picks=[0.5])
+@settings(max_examples=40)
+def test_atom_expected_min_is_within_ulps_of_the_exact_sum(dist, picks):
+    # scalar, array and knot-table values, at atoms, between them and past the top
+    atoms = oracles.discrete_atoms(dist)[0].tolist()
+    top = atoms[-1]
+    vs = [0.0, top, 2.0 * top] + [p * top for p in picks] + [atoms[int(p * (len(atoms) - 1))] for p in picks]
+    xs, _, _, ems = dist.expected_min_knots(top)
+    knots = [int(p * (len(xs) - 1)) for p in picks]
+    pairs = [(v, dist.expected_min(v)) for v in vs] \
+        + list(zip(vs, dist._expected_min_at(np.array(vs)).tolist())) \
+        + [(xs[i], ems[i]) for i in knots]
+    exact = {v: oracles.atom_expected_min_exact(dist, v) for v, _ in pairs}
+    unit = Fraction(math.ulp(dist.mean()))
+    for v, got in pairs:
+        assert abs(Fraction(got) - exact[v]) <= Fraction(5, 2) * unit, v
+
+
 # ---------------------------------------------------------------- knot tables
 
 @pytest.mark.parametrize("dist", ATOMIC, ids=ids)
@@ -316,7 +371,7 @@ def test_lattice_knot_tables_end_at_the_tail(dist, cap):
     assert n <= 4.0 * (dist.mean() + 40.0 * sd + 40.0) + 1.0
 
 
-@given(dist=st.one_of(strategies.large_empiricals(), strategies.constants, strategies.two_points),
+@given(dist=st.one_of(strategies.large_empiricals(), *WIDE_ATOM_LAWS),
        where=st.sampled_from(("below", "on", "between", "past")),
        pick=st.floats(0.0, 1.0))
 @example(dist=Empirical((0.0, 2.0, 5.0), (0.2, 0.3, 0.5)), where="below", pick=0.0)
@@ -343,7 +398,7 @@ def test_empirical_knot_tables_equal_per_atom_lookups(dist, where, pick):
     assert dist.expected_min_knots(cap) == expected
 
 
-@given(dist=st.one_of(st.floats(1e-300, 1e300).map(Constant), st.floats(1.0, 1e300).map(TwoPoint)),
+@given(dist=st.one_of(*WIDE_ATOM_LAWS),
        where=st.sampled_from(("below", "on", "between", "past")),
        pick=st.floats(0.0, 1.0),
        p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))

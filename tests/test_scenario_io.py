@@ -267,10 +267,17 @@ def test_curve_two_step_grid_hits_endpoints():
     assert rows[1][1] == pytest.approx(dist.expected_min(100.0) / 100.0, abs=1e-15)
 
 
+def test_curve_takes_numpy_integer_step_counts():
+    # regression: np.int64(21) was rejected as "steps must be an integer >= 2"
+    dist = Poisson(5.0)
+    assert emit_availability_curve(dist, 10.0, np.int64(21)) == emit_availability_curve(dist, 10.0, 21)
+
+
 def test_curve_grid_validation():
     dist = Normal(100.0, 10.0)
-    with pytest.raises(ValueError):
-        emit_availability_curve(dist, 100.0, 1)
+    for steps in (1, np.int64(1), True, 2.0):
+        with pytest.raises(ValueError, match="steps must be an integer >= 2"):
+            emit_availability_curve(dist, 100.0, steps)
     with pytest.raises(ValueError):
         emit_availability_curve(dist, 0.0, 10)
     with pytest.raises(ValueError):
