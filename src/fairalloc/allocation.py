@@ -337,7 +337,7 @@ def _step_level(levels, s_lo, s_hi):
     return s_lo if s_hi < 1.0 else math.nextafter(1.0, 0.0)
 
 
-def _water_fill(curves, budget, lo, hi, known=(0.0, 1.0)):
+def _water_fill(curves, budget, lo, hi):
     """Maximize sum of E[min(C_i, v_i)] s.t. sum v = budget, lo <= v <= hi.
 
     Bisects a common cdf level in [0, 1] until the levels sum to the budget
@@ -354,24 +354,14 @@ def _water_fill(curves, budget, lo, hi, known=(0.0, 1.0)):
     hi, while no midpoint rounds to 0. The stop then narrows the bracket to
     (L, the next double) on the level L where the fills step (_step_level):
     the fills at its ends are those at the old ends, so the allocation is
-    the same and the ends stay known. Any residual sitting on a survival
-    step is assigned greedily by ascending group index (utilization-
-    equivalent on the flat segment).
+    the same. Any residual sitting on a survival step is assigned greedily
+    by ascending group index (utilization-equivalent on the flat segment).
 
-    known = (known_lo, known_hi) are levels whose branch is already known:
-    the fills sum below the budget (by more than tol) at any level
-    in (0, known_lo] and above it at any level in [known_hi, 1). A midpoint
-    there takes its branch without evaluating the fills. When the known
-    levels are right, each step moves the same end to the same dyadic
-    midpoint as with the default (0, 1), which knows nothing. So the stuck
-    test, the one-level test and the step count see the same bracket, a
-    skipped midpoint could not have met the tolerance test, and the
-    allocation, rebuilt from the fills at the final ends, is bit-identical.
-    Returns (v, (s_lo, s_hi)): the allocation and the final bracket, whose
-    ends carry the same facts for the caller to pass on. Its midpoint is
-    the level s at which the fills meet the budget, and 1 - s their budget
-    price: the midpoint the loop stopped on, the step level of the knot
-    stop, or after BISECTION_STEPS halvings one within 2**-60 of both ends.
+    Returns (v, (s_lo, s_hi)): the allocation and the final bracket. Its
+    midpoint is the level s at which the fills meet the budget, and 1 - s
+    their budget price: the midpoint the loop stopped on, the step level of
+    the knot stop, or after BISECTION_STEPS halvings one within 2**-60 of
+    both ends.
     """
     tol = V_TOLERANCE * min(budget, 1.0)
     feas_tol = 1e-9 * budget
@@ -383,10 +373,8 @@ def _water_fill(curves, budget, lo, hi, known=(0.0, 1.0)):
         )
     fills = [c.box_fill(a, b) for c, a, b in zip(curves, lo, hi)]
     levels = [c.cdfs for c in curves] if all(isinstance(c, _KnotCurve) for c in curves) else None
-    known_lo, known_hi = known
     s_lo, s_hi = 0.0, 1.0
-    # the fills at s_lo and s_hi, or None when that end's branch was known
-    v_low, v_high = list(lo), list(hi)
+    v_low, v_high = list(lo), list(hi)  # the fills at s_lo and s_hi
     for steps in range(1, BISECTION_STEPS + 1):
         s_mid = 0.5 * (s_lo + s_hi)
         # Once the midpoint rounds to an end, no double lies strictly between
@@ -394,20 +382,15 @@ def _water_fill(curves, budget, lo, hi, known=(0.0, 1.0)):
         # repeat it. The step still runs because the s = 1.0 end (hi) has not
         # been checked against the budget yet.
         stuck = s_mid == s_lo or s_mid == s_hi
-        if 0.0 < s_mid <= known_lo:
-            s_lo, v_low = s_mid, None
-        elif known_hi <= s_mid < 1.0:
-            s_hi, v_high = s_mid, None
+        v_mid = [fill(s_mid) for fill in fills]
+        total = sum(v_mid)
+        if abs(total - budget) <= tol:
+            v_low = v_mid
+            break
+        if total < budget:
+            s_lo, v_low = s_mid, v_mid
         else:
-            v_mid = [fill(s_mid) for fill in fills]
-            total = sum(v_mid)
-            if abs(total - budget) <= tol:
-                v_low = v_mid
-                break
-            if total < budget:
-                s_lo, v_low = s_mid, v_mid
-            else:
-                s_hi, v_high = s_mid, v_mid
+            s_hi, v_high = s_mid, v_mid
         if stuck:
             break
         if levels is not None and (s_hi < 1.0 or sum_hi > budget + tol):
@@ -415,13 +398,9 @@ def _water_fill(curves, budget, lo, hi, known=(0.0, 1.0)):
             if step is not None:
                 s_lo, s_hi = step, math.nextafter(step, 1.0)
                 break
-    if v_low is None:
-        v_low = [fill(s_lo) for fill in fills]
     v = list(v_low)
     residual = budget - sum(v)
     if residual > 0.0:
-        if v_high is None:
-            v_high = [fill(s_hi) for fill in fills]
         for i in range(len(v)):
             head = v_high[i] - v[i]
             if head <= 0.0:
@@ -628,43 +607,21 @@ def _floor_sweep(curves, budget, alpha):
     ell_min, ell_max, lows, highs = _feasible_floors(curves, budget, alpha)
     slack = 1e-9 * min(budget, 1.0)  # a box inverted by no more than this is rounding
 
-    def solve(ell, known):
-        lo, hi = lows(ell), list(highs(ell))
-        for i, (low, high) in enumerate(zip(lo, hi)):
-            if high < low - slack:
-                return None
-            hi[i] = max(high, low)
-        try:
-            v, bracket = _water_fill(curves, budget, lo, hi, known)
-        except InfeasibleError:
-            return None
-        value = sum(c.em(x) for c, x in zip(curves, v))
-        return value, v, bracket
-
     best_value, best_v = -math.inf, None
     brackets = {}  # final water-fill bracket of each feasible scored floor
 
-    # Every box end is nondecreasing in ell, so at each cdf level s the fills'
-    # total T_ell(s) is too. A level where a floor left of ell summed above
-    # the budget sums above it at ell, and one where a floor right of ell
-    # summed below sums below at ell: ell's fill inherits the s_hi of its left
-    # neighbour and the s_lo of its right one. The neighbours are compared as
-    # doubles, since close to the stop rounding can put a new point outside them,
-    # and an inherited bracket that is empty (possible only where rounding
-    # breaks the monotonicity) is dropped.
-    def score(ell, left=None, right=None):
+    def score(ell):
         nonlocal best_value, best_v
-        known_lo, known_hi = 0.0, 1.0
-        if left in brackets and left <= ell:
-            known_hi = brackets[left][1]
-        if right in brackets and right >= ell:
-            known_lo = brackets[right][0]
-        if known_lo >= known_hi:
-            known_lo, known_hi = 0.0, 1.0
-        result = solve(ell, (known_lo, known_hi))
-        if result is None:
+        lo, hi = lows(ell), list(highs(ell))
+        for i, (low, high) in enumerate(zip(lo, hi)):
+            if high < low - slack:
+                return -math.inf
+            hi[i] = max(high, low)
+        try:
+            v, brackets[ell] = _water_fill(curves, budget, lo, hi)
+        except InfeasibleError:
             return -math.inf
-        value, v, brackets[ell] = result
+        value = sum(c.em(x) for c, x in zip(curves, v))
         if value > best_value:
             best_value, best_v = value, v
         return value
@@ -731,9 +688,9 @@ def _floor_sweep(curves, budget, alpha):
                 scale += c.mu * (1.0 + lam / sf_high)
         return g, 64.0 * _EPS * scale, kink
 
-    # U*(ell), the utilization solve(ell) reaches, is concave on the
+    # U*(ell), the utilization score(ell) reaches, is concave on the
     # interval. With g_i the inverse of q_i, convex since q_i is concave and
-    # nondecreasing, solve(ell) equals max sum mu_i q_i s.t. sum g_i(q_i) <= R,
+    # nondecreasing, score(ell) equals max sum mu_i q_i s.t. sum g_i(q_i) <= R,
     # ell <= q_i <= ell + alpha (U is nondecreasing in v, and every floor in
     # the interval has sum(highs) >= R, so leftover budget can be spent inside
     # the boxes). That set is jointly convex in (q, ell) and the objective is
@@ -773,7 +730,7 @@ def _slope_search(score, slope, a, b):
     rounding, once g is 0 within its bound, or once no double lies between
     the ends.
     """
-    ua, ub = score(a), score(b, a)
+    ua, ub = score(a), score(b)
     ga, bound, kink = slope(a)
     if ga <= bound:
         return
@@ -804,7 +761,7 @@ def _slope_search(score, slope, a, b):
                     x = min(max(x, a + near), b - near)
                     if not a < x < b:
                         x = m
-        u = score(x, a, b)
+        u = score(x)
         g, bound, kink = slope(x)
         if abs(g) <= bound:
             return

@@ -13,6 +13,7 @@ is fixed by the sample count alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -54,12 +55,20 @@ def check_seed(seed: int) -> int:
 def estimate_expected_min(
     dist: DemandDistribution, v: float, samples: int, seed: int = DEFAULT_SEED, group: int = 0
 ) -> McEstimate:
-    """Sample mean of min(draw, v) with its standard error, from group ``group``'s streams."""
+    """Sample mean of min(draw, v) with its standard error, from group ``group``'s streams.
+
+    The draws are summed and squared after scaling by the power of two of
+    ``shortfall_bound(v)`` (v on laws with C >= 0), so the squares stay in
+    range at any unit of demand. That scaling is exact for normal doubles,
+    so no bit moves wherever the raw squares were in range.
+    """
     samples = check_samples(samples)
     seed = check_seed(seed)
     v = float(v)
     if not math.isfinite(v) or v < 0.0:
         raise ValueError(f"resource level must be a finite nonnegative real, got {v!r}")
+    exp = max(math.frexp(dist.shortfall_bound(v))[1], sys.float_info.min_exp)
+    scale = math.ldexp(1.0, -exp)
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -69,6 +78,7 @@ def estimate_expected_min(
         count = min(CHUNK_SIZE, samples - done)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(group, chunk_index)))
         clipped = np.minimum(dist.sample(rng, count), v, out=buffer[:count])
+        np.multiply(clipped, scale, out=clipped)
         total += float(clipped.sum())
         total_sq += float(np.multiply(clipped, clipped, out=clipped).sum())
         done += count
@@ -76,8 +86,8 @@ def estimate_expected_min(
     mean = total / samples
     variance = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
     return McEstimate(
-        value=mean,
-        standard_error=math.sqrt(variance / samples),
+        value=math.ldexp(mean, exp),
+        standard_error=math.ldexp(math.sqrt(variance / samples), exp),
         samples=samples,
         seed=seed,
     )
@@ -143,7 +153,11 @@ def estimate_report(
             )
         )
     util_value = sum(g.expected_min.value for g in groups)
-    util_se = math.sqrt(sum(g.expected_min.standard_error ** 2 for g in groups))
+    # summed after scaling by the largest SE's power of two, which keeps the
+    # squares in range (math.hypot would round differently)
+    ses = [g.expected_min.standard_error for g in groups]
+    exp = math.frexp(max(ses))[1]
+    util_se = math.ldexp(math.sqrt(sum(math.ldexp(se, -exp) ** 2 for se in ses)), exp)
     qs = [g.availability for g in groups]
     top = max(qs, key=lambda e: e.value)
     bottom = min(qs, key=lambda e: e.value)

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Optional
@@ -195,6 +196,9 @@ def input_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+_MAX_STEPS = sys.maxsize // 8  # the longest float64 grid numpy can index
+
+
 def emit_availability_curve(dist: DemandDistribution, v_max: float, steps: int):
     """Rows (v, availability, expected_min) on a uniform grid over [0, v_max].
 
@@ -202,8 +206,8 @@ def emit_availability_curve(dist: DemandDistribution, v_max: float, steps: int):
     E[min] column is one array call on the law. Only availabilities outside
     [0, 1] can need ``clamp_availability``, so only those go through it.
     """
-    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 2:
-        raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
+    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or not 2 <= steps <= _MAX_STEPS:
+        raise ValueError(f"steps must be an integer >= 2 and <= {_MAX_STEPS}, got {steps!r}")
     if not math.isfinite(v_max) or v_max <= 0.0:
         raise ValueError(f"v_max must be a positive finite real, got {v_max!r}")
     steps = int(steps)

@@ -225,20 +225,20 @@ def golden_search(score, a, b):
     bracket towards the dense doubles at 0.
     """
     score(a)
-    score(b, a)
+    score(b)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc = score(c, a, b)
-    fd = score(d, c, b)
+    fc = score(c)
+    fd = score(d)
     while b - a > 1e-15:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = score(c, a, d)
+            fc = score(c)
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = score(d, c, b)
+            fd = score(d)
 
 
 def water_fill_full_loop(curves, budget, lo, hi, steps, tol):

@@ -142,19 +142,16 @@ def test_negative_allocation_entry_is_rejected_at_a_tiny_budget(capsys, tmp_path
     assert "allocation entries must be finite and >= 0, got -1e-10" in err
 
 
-# mc-check's standard errors sum the squared draws, which overflow near 1e200
-_MC_SQUARES_OVERFLOW = pytest.mark.xfail(raises=RuntimeWarning, strict=True,
-                                         reason="mc-check squares draws near 1e200")
-
-
 @pytest.mark.parametrize("command, c", [
-    pytest.param(command, c, marks=[_MC_SQUARES_OVERFLOW] if (command, c) == ("mc-check", 1e200) else [])
-    for command in ("allocate", "evaluate", "mc-check", "optimize", "pof") for c in (1e-300, 1e200)
+    (command, c) for command in ("allocate", "evaluate", "mc-check", "optimize", "pof")
+    for c in (1e-300, 1e200)
 ])
 def test_mean_shares_sum_to_the_budget_at_extreme_units_of_demand(capsys, tmp_path, command, c):
     # regression: the product R mu_i in R mu_i / Z, and the saturation
     # shortcut's excess mu_i, read 0 at 1e-300 (allocate wrote 0.0, 0.0 and
-    # the rest exited 1) and inf at 1e200 (every command exited 1)
+    # the rest exited 1) and inf at 1e200 (every command exited 1); mc-check's
+    # squared draws read 0 at 1e-300, so every SE was 0 and three rows read
+    # |z| 19-27 at 20,000 samples, and overflowed at 1e200
     if command in ("optimize", "pof"):
         # both supports fit in the budget: each group gets c plus half the excess
         resource, laws = 3.0 * c, [{"kind": "constant", "c": c}] * 2
@@ -163,7 +160,7 @@ def test_mean_shares_sum_to_the_budget_at_extreme_units_of_demand(capsys, tmp_pa
     path = tmp_path / "extreme.json"
     path.write_text(json.dumps({"resource": resource, "groups": [
         {"name": f"g{i}", "distribution": law} for i, law in enumerate(laws)]}))
-    extra = {"mc-check": ["--samples", "1000"], "optimize": ["--alpha", "0.05"],
+    extra = {"mc-check": ["--samples", "20000"], "optimize": ["--alpha", "0.05"],
              "pof": ["--alpha", "0.05"]}.get(command, [])
     code, out, _ = run(capsys, command, "--scenario", str(path), *extra)
     assert code == EXIT_OK
@@ -179,6 +176,8 @@ def test_mean_shares_sum_to_the_budget_at_extreme_units_of_demand(capsys, tmp_pa
         allocations = [doc["settings"]["allocation"]]
     for values in allocations:
         assert abs(sum(values) - resource) <= 1e-9 * resource
+    if command == "mc-check":
+        assert result["all_ok"] is True
 
 
 @pytest.mark.parametrize("epsilon", [[], ["--epsilon", "0.1"]])
@@ -507,6 +506,16 @@ def test_curve_default_grid_end_stays_finite_past_half_the_largest_double(capsys
     result = json.loads(out)["result"]
     assert result["v_max"] == 1.7976931348623157e308
     assert result["series"]["a"][-1] == [1.7976931348623157e308, 1.0, 1e308]
+
+
+@pytest.mark.parametrize("steps", [2 ** 62, 2 ** 63])
+def test_curve_rejects_step_counts_numpy_cannot_index(capsys, poisson3, steps):
+    # regression: 2^63 made an empty grid and died with an IndexError
+    # traceback, and 2^62 exited 1 with numpy's "array is too big"
+    code, out, err = run(capsys, "curve", "--scenario", poisson3, "--steps", str(steps))
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err.startswith(f"fairalloc: steps must be an integer >= 2 and <= {2 ** 60 - 1}, got {steps}")
+    assert "Traceback" not in err
 
 
 MIX7 = pathlib.Path(__file__).parent / "golden" / "scenarios" / "mix7_rz09.json"

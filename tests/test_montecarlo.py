@@ -65,6 +65,17 @@ def test_standard_error_scales_as_inverse_sqrt_samples():
         assert root_ten / 2.0 <= ratio <= root_ten * 2.0
 
 
+@pytest.mark.parametrize("v", [0.0, 5e-324, 1e-310])
+def test_estimates_stay_finite_at_zero_and_subnormal_levels(v):
+    # the draws are scaled by the power of two of shortfall_bound(v), not of
+    # v, so a normal law's draws below zero, far larger than a subnormal v,
+    # keep finite squares
+    for dist in (Exponential(1e-300), Constant(1e-300), Normal(1.0, 1.0)):
+        est = estimate_expected_min(dist, v, samples=1000, seed=1)
+        assert math.isfinite(est.value) and math.isfinite(est.standard_error)
+    assert estimate_expected_min(Normal(1.0, 1.0), v, samples=1000, seed=1).standard_error > 0.0
+
+
 def test_sample_count_validation():
     with pytest.raises(ValueError):
         estimate_expected_min(Constant(5.0), 3.0, samples=99)
