@@ -183,6 +183,18 @@ class _Curve:
 
         return fill
 
+    def flat_span(self, lo: float, hi: float, s: float):
+        """(a, b): the cdf levels around s, 0 < s < 1, on whose (a, b] box_fill(lo, hi) is constant."""
+        cdf_lo, cdf_hi = self.cdf(lo), self.cdf(hi)
+        if cdf_hi < s:
+            return cdf_hi, 1.0
+        if cdf_lo >= s:
+            return 0.0, cdf_lo
+        return self._quantile_span(s)
+
+    def _quantile_span(self, s: float):
+        return s, s  # a smooth quantile moves with s
+
     def lowest_v_with_q_at_least(self, target: float) -> float:
         """Smallest v in [0, cap] with q(v) >= target, or inf if unreachable."""
         t = target * self.mu
@@ -222,6 +234,11 @@ class _KnotCurve(_Curve):
     def quantile(self, s: float) -> float:
         idx = bisect.bisect_left(self.cdfs, s)
         return self.xs[idx] if idx < len(self.xs) else self.cap
+
+    def _quantile_span(self, s: float):
+        cdfs = self.cdfs
+        idx = bisect.bisect_left(cdfs, s)
+        return cdfs[idx - 1] if idx > 0 else 0.0, cdfs[idx] if idx < len(cdfs) else 1.0
 
     def _lowest(self, t: float) -> float:
         ems = self.ems
@@ -337,6 +354,21 @@ def _step_level(levels, s_lo, s_hi):
     return s_lo if s_hi < 1.0 else math.nextafter(1.0, 0.0)
 
 
+def _flat_crossing(curves, lo, hi, s_lo, s_hi, over):
+    """The bracket on the level where fills that meet the budget within tol cross it exactly.
+
+    The fills at the midpoint s of (s_lo, s_hi) stay constant while s moves
+    across (a, b], the levels where no knot fill steps and no fill leaves a
+    box end. Above the budget they step down onto it at a, below it up at
+    b, which returns (a or b, the next double); where that is s itself the
+    bracket stays.
+    """
+    s = 0.5 * (s_lo + s_hi)
+    spans = [c.flat_span(a, b, s) for c, a, b in zip(curves, lo, hi)]
+    level = max(a for a, _ in spans) if over else min(b for _, b in spans)
+    return (s_lo, s_hi) if level == s else (level, math.nextafter(level, 1.0))
+
+
 def _water_fill(curves, budget, lo, hi):
     """Maximize sum of E[min(C_i, v_i)] s.t. sum v = budget, lo <= v <= hi.
 
@@ -361,7 +393,9 @@ def _water_fill(curves, budget, lo, hi):
     midpoint is the level s at which the fills meet the budget, and 1 - s
     their budget price: the midpoint the loop stopped on, the step level of
     the knot stop, or after BISECTION_STEPS halvings one within 2**-60 of
-    both ends.
+    both ends. Where the fills at the midpoint meet the budget only within
+    tol and stay constant over a stretch of levels, it is the end of that
+    stretch where they cross the budget (_flat_crossing).
     """
     tol = V_TOLERANCE * min(budget, 1.0)
     feas_tol = 1e-9 * budget
@@ -386,6 +420,8 @@ def _water_fill(curves, budget, lo, hi):
         total = sum(v_mid)
         if abs(total - budget) <= tol:
             v_low = v_mid
+            if total != budget:
+                s_lo, s_hi = _flat_crossing(curves, lo, hi, s_lo, s_hi, total > budget)
             break
         if total < budget:
             s_lo, v_low = s_mid, v_mid

@@ -400,6 +400,11 @@ def test_alpha_fair_solve_scores_few_floors(resource, dists, most, monkeypatch):
     assert len(calls) <= most
 
 
+GOLDEN_SCENARIOS = sorted(
+    (pathlib.Path(__file__).parent / "golden" / "scenarios").glob("*.json")
+)
+
+
 def golden_section_outcome(sc, alpha):
     """alpha_fair_optimal's (U, fairness, water-fills), or its error, with a
     golden-section search on the floors' values in place of the slope search."""
@@ -455,9 +460,27 @@ def fair_outcome(sc, alpha, monkeypatch):
                0.0035315527334287646, 0.025859755681841862, 0.2914021670254714,
                0.1788076996753637, 0.0326421209608943)),
 ], ratio=1.2, alpha=0.05)
+# regression: the fifth's fills met the budget within tol, 4e-13 above it, on
+# a stretch of levels where the empirical law sits on its knot at 1; the
+# water-fill priced the floor at the stretch's top end (lam 0.5, g = +0.5)
+# where the fills cross the budget at its bottom (lam 1, g = -3), so every
+# floor just right of the kink of U* read as left of it: 142 water-fills
+# against golden-section's 70
+@example(dists=[Constant(3.0), TwoPoint(4.0), Empirical((1.0, 2.0), (0.5, 0.5))],
+         ratio=1.0, alpha=0.05)
 @settings(max_examples=200)
 def test_slope_search_does_as_well_as_golden_section_with_fewer_floors(dists, ratio, alpha):
-    sc = scenario(ratio * sum(d.mean() for d in dists), *dists)
+    assert_slope_search_does_as_well_as_golden_section(
+        scenario(ratio * sum(d.mean() for d in dists), *dists), alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.25])
+@pytest.mark.parametrize("path", GOLDEN_SCENARIOS, ids=lambda path: path.stem)
+def test_slope_search_does_as_well_as_golden_section_on_golden_scenarios(path, alpha):
+    assert_slope_search_does_as_well_as_golden_section(load_scenario_path(str(path)).scenario, alpha)
+
+
+def assert_slope_search_does_as_well_as_golden_section(sc, alpha):
     golden_u, golden_gap, golden_fills = golden_section_outcome(sc, alpha)
     with pytest.MonkeyPatch.context() as monkeypatch:
         u, gap, fills = fair_outcome(sc, alpha, monkeypatch)
@@ -504,6 +527,21 @@ def test_knot_water_fill_stop_at_an_end_matches_full_loop(hi, budget, bracket, m
     assert len(fill_calls) == len(curves)
 
 
+@pytest.mark.parametrize("excess, price", [(4e-13, 1.0), (-4e-13, 0.5)], ids=["above", "below"])
+def test_water_fill_within_tol_prices_the_level_where_the_fills_cross(excess, price):
+    # every level s in (0, 0.5] fills 2 (hi, below the atom at 3), 2.5 (lo,
+    # the two-point law's cdf is 0.75 there) and 1 (the empirical knot), 5.5
+    # in all; the first midpoint, 0.5, meets the budget within tol. Above the
+    # budget the fills step down onto it at s = 0, below it they step up at
+    # s = 0.5, so the price 1 - s is 1 or 0.5
+    curves = [allocation_module._curve(d, 6.0)
+              for d in (Constant(3.0), TwoPoint(4.0), Empirical((1.0, 2.0), (0.5, 0.5)))]
+    lo, hi = [1.75, 2.5, 0.75], [2.0, 2.75, 1.25]
+    v, (s_lo, s_hi) = allocation_module._water_fill(curves, 5.5 - excess, lo, hi)
+    assert v[2] == 1.0
+    assert 1.0 - 0.5 * (s_lo + s_hi) == price
+
+
 def test_alpha_fair_below_one_skips_max_utilization(monkeypatch):
     # pof used to build every curve twice: once for each optimum
     sc = scenario(900.0, Poisson(200.0), Poisson(400.0), Poisson(400.0))
@@ -524,11 +562,6 @@ def test_alpha_fair_below_one_skips_max_utilization(monkeypatch):
     assert (len(prologues), len(max_fills)) == (1, 0)
     pof(sc, 0.05)
     assert (len(prologues), len(max_fills)) == (2, 1)
-
-
-GOLDEN_SCENARIOS = sorted(
-    (pathlib.Path(__file__).parent / "golden" / "scenarios").glob("*.json")
-)
 
 
 @given(dists=st.lists(strategies.demand_distributions, min_size=2, max_size=4),
