@@ -638,19 +638,13 @@ class Empirical(_Atoms):
         if abs(total - 1.0) > 1e-12:
             raise DistributionError(f"empirical probabilities must sum to 1 within 1e-12, got {total!r}")
         order = np.argsort(vals, kind="stable")
-        # merge duplicates left to right over Python floats: the same sums
-        # as over numpy scalars, in less time
-        sorted_vals, sorted_probs = vals[order].tolist(), (probs[order] / total).tolist()
-        keep_vals, keep_probs = sorted_vals[:1], sorted_probs[:1]
-        for x, w in zip(sorted_vals[1:], sorted_probs[1:]):
-            if x == keep_vals[-1]:
-                keep_probs[-1] += w
-            else:
-                keep_vals.append(x)
-                keep_probs.append(w)
-        object.__setattr__(self, "values", tuple(keep_vals))
-        object.__setattr__(self, "probabilities", tuple(keep_probs))
-        probs = np.asarray(keep_probs)
+        vals, probs = vals[order], probs[order] / total
+        # merge each run of equal atoms into its first: bincount adds a run's
+        # weights left to right, in input order
+        starts = np.concatenate(([True], vals[1:] != vals[:-1]))
+        probs = np.bincount(np.cumsum(starts) - 1, weights=probs)
+        object.__setattr__(self, "values", tuple(vals[starts].tolist()))
+        object.__setattr__(self, "probabilities", tuple(probs.tolist()))
         suffix = np.concatenate((np.cumsum(probs[::-1])[::-1], [0.0]))
         suffix[0] = 1.0
         self._set_atoms(self.values, np.cumsum(probs), suffix)

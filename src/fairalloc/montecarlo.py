@@ -60,7 +60,9 @@ def estimate_expected_min(
     The draws are summed and squared after scaling by the power of two of
     ``shortfall_bound(v)`` (v on laws with C >= 0), so the squares stay in
     range at any unit of demand. That scaling is exact for normal doubles,
-    so no bit moves wherever the raw squares were in range.
+    so no bit moves wherever the raw squares were in range. Raises
+    ValueError when the draws overflow, so that the sum or the sum of
+    squares is not finite.
     """
     samples = check_samples(samples)
     seed = check_seed(seed)
@@ -83,6 +85,11 @@ def estimate_expected_min(
         total_sq += float(np.multiply(clipped, clipped, out=clipped).sum())
         done += count
         chunk_index += 1
+    if not (math.isfinite(total) and math.isfinite(total_sq)):
+        raise ValueError(
+            f"Monte Carlo draws of min(C, {v!r}) overflow: their scaled sum is {total!r} "
+            f"and sum of squares {total_sq!r}"
+        )
     mean = total / samples
     variance = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
     return McEstimate(

@@ -246,8 +246,9 @@ def water_fill_full_loop(curves, budget, lo, hi, steps, tol):
 
     Uses each curve's ``box_fill`` and assigns the residual exactly as the
     library does, so only the stopping rule differs from ``_water_fill``.
+    Returns (v, (s_lo, s_hi)): the allocation and the final bracket.
     """
-    fills = [c.box_fill(a, b) for c, a, b in zip(curves, lo, hi)]
+    fills = [c.box_fill(a, b)[0] for c, a, b in zip(curves, lo, hi)]
     s_lo, s_hi = 0.0, 1.0
     v_low, v_high = list(lo), list(hi)
     for _ in range(steps):
@@ -281,10 +282,10 @@ def water_fill_full_loop(curves, budget, lo, hi, steps, tol):
         for i in range(len(v)):
             if remaining == 0.0:
                 break
-            moved = min(max(v[i] + remaining, max(lo[i] - 1e-9, 0.0)), hi[i] + 1e-9)
+            moved = min(max(v[i] + remaining, max(lo[i] - tol, 0.0)), hi[i] + tol)
             remaining -= moved - v[i]
             v[i] = moved
-    return v
+    return v, (s_lo, s_hi)
 
 
 def mc_report_reference(scenario, values, samples, seed, chunk_size):

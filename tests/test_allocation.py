@@ -301,13 +301,13 @@ def count_fill_steps(monkeypatch):
     box_fill = allocation_module._Curve.box_fill
 
     def counting_box_fill(curve, lo, hi):
-        fill = box_fill(curve, lo, hi)
+        fill, span = box_fill(curve, lo, hi)
 
         def counting_fill(s):
             fill_calls.append(s)
             return fill(s)
 
-        return counting_fill
+        return counting_fill, span
 
     monkeypatch.setattr(allocation_module._Curve, "box_fill", counting_box_fill)
     return fill_calls
@@ -508,23 +508,27 @@ def test_knot_water_fill_stops_once_no_level_is_left(monkeypatch):
     assert len(fill_calls) / sc.size == len(fills)
 
 
-@pytest.mark.parametrize("hi, budget, bracket", [
-    ((50.0, 80.0), 100.0, (0.0, 5e-324)),
-    ((200.0, 200.0), 150.0, (1 - 2**-53, 1.0)),
-], ids=["all-midpoints-above", "all-midpoints-below"])
-def test_knot_water_fill_stop_at_an_end_matches_full_loop(hi, budget, bracket, monkeypatch):
-    # every midpoint in (0, 1) fills the atoms: above the budget (hi is the
-    # atoms), or below it with hi above it, so one evaluated step settles it;
-    # the fills step at s = 0 (lo) or at s = 1 (hi), so the price is 1 or 0
-    curves = [allocation_module._curve(Constant(c), 200.0) for c in (50.0, 80.0)]
-    lo, hi = [0.0, 0.0], list(hi)
+@pytest.mark.parametrize("laws, cap, lo, hi, budget, price, evaluations", [
+    ((Constant(50.0), Constant(80.0)), 200.0, (0.0, 0.0), (50.0, 80.0), 100.0, 1.0, 2),
+    ((Constant(50.0), Constant(80.0)), 200.0, (0.0, 0.0), (200.0, 200.0), 150.0, 0.0, 2),
+    ((Constant(5.0), Poisson(2.0)), 5.0, (0.0, 4.0), (5.0, 5.0), 7.0, 1.0, 2),
+], ids=["all-midpoints-above", "all-midpoints-below", "levels-under-a-low-end"])
+def test_knot_water_fill_stop_at_an_end_matches_full_loop(
+        laws, cap, lo, hi, budget, price, evaluations, monkeypatch):
+    # every midpoint in (0, 1) gives the same fills: the atoms, above the
+    # budget (hi is the atoms) or below it (hi lies above it), or 5 and the
+    # Poisson's low end 4, above it (the Poisson's cdf levels 0.135 and 0.406
+    # lie under the end's 0.947). So one evaluated step settles it, and the
+    # fills step at s = 0 (lo) or at s = 1 (hi), which prices them at 1 or 0
+    curves = [allocation_module._curve(d, cap) for d in laws]
+    lo, hi = list(lo), list(hi)
     tol = allocation_module.V_TOLERANCE * min(budget, 1.0)  # the library's stop
-    expected = oracles.water_fill_full_loop(
+    expected, _ = oracles.water_fill_full_loop(
         curves, budget, lo, hi, allocation_module.BISECTION_STEPS, tol
     )
     fill_calls = count_fill_steps(monkeypatch)
-    assert allocation_module._water_fill(curves, budget, lo, hi) == (expected, bracket)
-    assert len(fill_calls) == len(curves)
+    assert allocation_module._water_fill(curves, budget, lo, hi) == (expected, price)
+    assert len(fill_calls) == evaluations
 
 
 @pytest.mark.parametrize("excess, price", [(4e-13, 1.0), (-4e-13, 0.5)], ids=["above", "below"])
@@ -537,9 +541,9 @@ def test_water_fill_within_tol_prices_the_level_where_the_fills_cross(excess, pr
     curves = [allocation_module._curve(d, 6.0)
               for d in (Constant(3.0), TwoPoint(4.0), Empirical((1.0, 2.0), (0.5, 0.5)))]
     lo, hi = [1.75, 2.5, 0.75], [2.0, 2.75, 1.25]
-    v, (s_lo, s_hi) = allocation_module._water_fill(curves, 5.5 - excess, lo, hi)
+    v, fill_price = allocation_module._water_fill(curves, 5.5 - excess, lo, hi)
     assert v[2] == 1.0
-    assert 1.0 - 0.5 * (s_lo + s_hi) == price
+    assert fill_price == price
 
 
 def test_alpha_fair_below_one_skips_max_utilization(monkeypatch):
@@ -949,34 +953,18 @@ def test_knot_water_fill_stop_matches_full_loop(dists, repeat, cap, ends, where,
         hi.append(b)
     if on_step:
         # a budget that some cdf level fills exactly
-        budget = sum(c.box_fill(a, b)(where) for c, a, b in zip(curves, lo, hi))
+        budget = sum(c.box_fill(a, b)[0](where) for c, a, b in zip(curves, lo, hi))
     else:
         budget = sum(lo) + where * (sum(hi) - sum(lo))
     tol = allocation_module.V_TOLERANCE * min(budget, 1.0)  # the library's stop
-    expected = oracles.water_fill_full_loop(
+    expected, (s_lo, s_hi) = oracles.water_fill_full_loop(
         curves, budget, lo, hi, allocation_module.BISECTION_STEPS, tol
     )
-    levels = []
-    step_level = allocation_module._step_level
-
-    def recording_step_level(*args):
-        levels.append(step_level(*args))
-        return levels[-1]
-
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(allocation_module, "_step_level", recording_step_level)
-        v, bracket = allocation_module._water_fill(curves, budget, lo, hi)
+    v, price = allocation_module._water_fill(curves, budget, lo, hi)
     assert v == expected
-    if levels and levels[-1] is not None:
-        # the knot stop returns (L, the next double) on the level L where the
-        # fills step across the budget; s = 0 is lo, which it never evaluates
-        step = levels[-1]
-        assert bracket == (step, math.nextafter(step, 1.0))
-        totals = [sum(c.box_fill(a, b)(s) for c, a, b in zip(curves, lo, hi)) for s in bracket]
-        # the library's own test, abs(total - budget) <= tol: budget + tol
-        # can round onto a total that lies more than tol above the budget
-        assert step == 0.0 or budget - totals[0] > tol
-        assert totals[1] - budget > tol
+    # the stop's level lies in the full loop's final bracket; 1 - price
+    # rounds it by at most 2**-54
+    assert s_lo - 2**-54 <= 1.0 - price <= s_hi + 2**-54
 
 
 def test_huge_poisson_budgets_take_knot_curves_with_the_same_allocation():

@@ -622,6 +622,20 @@ def test_mc_check_flags_a_sampler_whose_mean_is_off_by_0_2_percent(capsys, tmp_p
     assert all(abs(row["z_score"]) > 20.0 and not row["ok"] for row in rows)
 
 
+def test_mc_check_rejects_overflowing_draws_without_a_report(capsys, tmp_path):
+    # regression: the command exited 0 with "mc_value": -Infinity and
+    # "se": NaN, which is not JSON
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"resource": 1e308, "groups": [
+        {"name": "a", "distribution": {"kind": "normal", "mu": 1e308, "sigma": 5.39e307}}]}))
+    target = tmp_path / "report.json"
+    code, out, err = run(capsys, "mc-check", "--scenario", str(path), "--samples", "1000",
+                         "--output", str(target))
+    assert code == EXIT_VALIDATION
+    assert out == "" and not target.exists()
+    assert "overflow" in err
+
+
 def test_mc_check_negative_seed_names_the_flag(capsys, poisson3):
     code, out, err = run(capsys, "mc-check", "--scenario", poisson3, "--seed", "-5")
     assert code == EXIT_VALIDATION

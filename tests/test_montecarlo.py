@@ -76,6 +76,13 @@ def test_estimates_stay_finite_at_zero_and_subnormal_levels(v):
     assert estimate_expected_min(Normal(1.0, 1.0), v, samples=1000, seed=1).standard_error > 0.0
 
 
+def test_overflowing_draws_are_rejected_by_name():
+    # regression: Normal(1e308, 5.39e307) draws overflow to -inf and +inf,
+    # and the estimate read -inf with a NaN standard error
+    with pytest.raises(ValueError, match=r"draws of min\(C, 1e\+308\) overflow"):
+        estimate_expected_min(Normal(1e308, 5.39e307), 1e308, samples=1000)
+
+
 def test_sample_count_validation():
     with pytest.raises(ValueError):
         estimate_expected_min(Constant(5.0), 3.0, samples=99)
