@@ -20,6 +20,7 @@ per atom up to the budget.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from abc import ABC, abstractmethod
@@ -102,8 +103,9 @@ class DemandDistribution(ABC):
         """Draw from the distribution; a float when size is None, else an array.
 
         Empirical, Binomial and Poisson draws invert one uniform each through
-        a guide table (``_GuideTable``). Empirical draws, and the generator's
-        state after them, equal ``Generator.choice(values, size,
+        a guide table (``_GuideTable``), most of them with one gather and the
+        rest with one comparison or a search. Empirical draws, and the
+        generator's state after them, equal ``Generator.choice(values, size,
         p=probabilities)`` for the same generator state. Binomial and Poisson
         tables come from their pmf ratios, not from the cdf formulas that
         Monte Carlo checks; a law whose table would pass 1 << 20 points draws
@@ -161,12 +163,12 @@ class _Atoms(DemandDistribution):
             object.__setattr__(self, name, np.asarray(column, dtype=float))
 
     def cdf(self, x: float) -> float:
-        idx = int(np.searchsorted(self._vals, x, side="right"))
+        # NaN compares false, so bisect puts it last, as np.searchsorted does
+        idx = bisect.bisect_right(self._points, x)
         return 0.0 if idx == 0 else float(self._cum[idx - 1])
 
     def survival(self, x: float) -> float:
-        idx = int(np.searchsorted(self._vals, x, side="right"))
-        return float(self._suffix[idx])
+        return float(self._suffix[bisect.bisect_right(self._points, x)])
 
     def _quantile(self, p: float) -> float:
         idx = int(np.searchsorted(self._cum, p, side="left"))
@@ -255,13 +257,18 @@ class _GuideTable:
     ``cumulative`` holds nondecreasing cumulative weights, normalized here so
     the last cdf point is 1 exactly, and ``values`` the point at each of
     them. A draw is the value at the smallest k with cdf[k] > u for one
-    uniform u, as in ``Generator.choice``. guide[b] counts the cdf points <=
-    b / 2**j, and split[b] marks the buckets with a cdf point strictly
-    inside. The bucket edges are exact doubles, so for u in an unsplit
-    bucket b = floor(u * 2**j) the count of cdf points <= u is guide[b]
-    exactly (Chen & Asau, AIIE Trans. 1974; Devroye, Non-Uniform Random
-    Variate Generation, 1986, ch. III). With at least 16 buckets per point,
-    at most one draw in 16 lands in a split bucket and needs a search.
+    uniform u, as in ``Generator.choice``. The bucket edges b / 2**j are
+    exact doubles, so for u in bucket b = floor(u * 2**j) with no cdf point
+    strictly inside, that k is the count of cdf points <= b / 2**j, and
+    guide[b] holds its value (Chen & Asau, AIIE Trans. 1974; Devroye,
+    Non-Uniform Random Variate Generation, 1986, ch. III): such a draw
+    costs one gather. Every table value is finite, so guide[b] is NaN for
+    the other buckets. In a bucket with exactly one point inside, at index
+    single[b], the points before it are <= u and the one after it is > u,
+    so k is single[b] + (u >= cdf[single[b]]): one comparison. Only a
+    bucket with several points inside (single[b] = -1) needs a search. With
+    at least 16 buckets per point, at most one draw in 16 lands in a bucket
+    with a point inside.
     """
 
     def __init__(self, cumulative, values):
@@ -269,18 +276,27 @@ class _GuideTable:
         self.values = values
         buckets = 1 << (self.cdf.size.bit_length() + 4)
         edges = np.arange(buckets + 1) / buckets
-        self.guide = self.cdf.searchsorted(edges[:-1], side="right")
-        self.split = self.cdf.searchsorted(edges[1:], side="left") > self.guide
+        first = self.cdf.searchsorted(edges[:-1], side="right")
+        inside = self.cdf.searchsorted(edges[1:], side="left") - first
+        self.guide = values[first]
+        self.guide[inside > 0] = np.nan
+        self.single = np.where(inside == 1, first, -1)
 
     def sample(self, rng, size):
         if size is None:
             return float(self.values[self.cdf.searchsorted(rng.random(), side="right")])
         u = rng.random(size)
         bucket = (u * self.guide.size).astype(np.intp)
-        idx = self.guide[bucket]
-        hard = np.flatnonzero(self.split[bucket])
-        idx[hard] = self.cdf.searchsorted(u[hard], side="right")
-        return self.values[idx]
+        draws = self.guide.take(bucket)
+        hard = np.flatnonzero(np.isnan(draws))
+        k = self.single[bucket[hard]]
+        u = u[hard]
+        many = np.flatnonzero(k < 0)
+        k[many] = self.cdf.searchsorted(u[many], side="right")
+        # a searched k already has cdf[k] > u, so the step adds 0 to it
+        k += u >= self.cdf[k]
+        draws[hard] = self.values[k]
+        return draws
 
 
 class _Lattice(DemandDistribution):

@@ -100,6 +100,23 @@ def test_survival_nonincreasing(dist):
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("dist", [
+    Constant(5.0), Constant(1e-300), TwoPoint(1.0), TwoPoint(10.0),
+    Empirical((0.0, 1.5, 7.25), (0.2, 0.5, 0.3)),
+    Empirical((1.0, 2.0, 3.0), (0.3, 0.0, 0.7)),
+    Empirical(tuple(range(1, 4001)), tuple(np.full(4000, 1.0 / 4000.0))),
+], ids=ids)
+def test_atom_law_lookups_equal_numpy_searchsorted(dist):
+    xs = [-math.inf, math.inf, math.nan, -0.0]
+    for atom in dist._vals.tolist():
+        xs += [math.nextafter(atom, -math.inf), atom, math.nextafter(atom, math.inf)]
+    for x in xs:
+        idx = int(np.searchsorted(dist._vals, x, side="right"))
+        assert dist.cdf(x) == (0.0 if idx == 0 else float(dist._cum[idx - 1]))
+        assert dist.survival(x) == float(dist._suffix[idx])
+        assert type(dist.cdf(x)) is float and type(dist.survival(x)) is float
+
+
 def test_discrete_cdf_right_continuous():
     dist = Binomial(10, 0.5)
     assert dist.cdf(5) == dist.cdf(5.49)
@@ -492,6 +509,53 @@ def test_empirical_draws_next_to_cdf_points_follow_choice_inverse(dist):
 def test_example_law_cumsum_ends_below_one():
     dist = Empirical(tuple(range(1, 11)), (0.1,) * 10)
     assert float(np.cumsum(dist.probabilities)[-1]) < 1.0
+
+
+# a zero-probability atom (two equal cdf points in one bucket), two tiny atoms
+# sharing bucket 0, and a lattice table with buckets of every kind
+GUIDE_TABLE_LAWS = [
+    Empirical((1, 2, 3), (0.3, 0.0, 0.7)),
+    Empirical((1, 2, 3, 9), (1e-6, 1e-6, 0.5, 0.5 - 2e-6)),
+    Poisson(200.0),
+]
+
+
+def test_guide_table_draws_at_bucket_edges_and_cdf_points_invert_the_cdf():
+    kinds = set()
+    for dist in GUIDE_TABLE_LAWS:
+        table = dist._table
+        buckets = table.guide.size
+        # a bucket has no cdf point inside it, exactly one, or several
+        kinds.update(np.where(~np.isnan(table.guide), "none",
+                              np.where(table.single >= 0, "one", "several")).tolist())
+        # Generator.random returns multiples of 2**-53; take those at and
+        # next to every bucket edge and every cdf point
+        points = np.concatenate((np.arange(buckets) / buckets, table.cdf))
+        grid = np.floor(points * 2.0**53)[:, None] + np.arange(-3.0, 4.0)
+        uniforms = np.unique(grid.ravel()) / 2.0**53
+        uniforms = uniforms[(uniforms >= 0.0) & (uniforms < 1.0)]
+        draws = dist.sample(_KnownUniforms(uniforms), uniforms.size)
+        expected = table.values[table.cdf.searchsorted(uniforms, side="right")]
+        assert np.array_equal(draws, expected)
+    assert kinds == {"none", "one", "several"}
+
+
+BIT_GENERATORS = (np.random.MT19937, np.random.PCG64, np.random.Philox, np.random.SFC64)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda cls: cls.__name__)
+@given(dist=strategies.large_empiricals())
+@example(dist=GUIDE_TABLE_LAWS[0])
+@example(dist=GUIDE_TABLE_LAWS[1])
+def test_empirical_draws_equal_generator_choice_on_every_bit_generator(bit_generator, dist):
+    for seed, size in enumerate((None, 7, CHUNK_SIZE + 333)):
+        mine = np.random.Generator(bit_generator(seed))
+        numpy_own = np.random.Generator(bit_generator(seed))
+        draws = dist.sample(mine, size)
+        expected = numpy_own.choice(dist.values, size, p=dist.probabilities)
+        assert np.array_equal(draws, expected)
+        # MT19937 states hold arrays; the next uniform shows the state instead
+        assert mine.random() == numpy_own.random()
 
 
 LATTICE = [
