@@ -18,7 +18,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,9 +25,6 @@ from . import certificates, metrics
 from .distributions import DemandDistribution
 from .metrics import Allocation, Scenario
 
-_EPS = sys.float_info.epsilon
-
-V_TOLERANCE = 1e-9  # water-fill stops once the filled levels sum within V_TOLERANCE min(R, 1) of R
 BISECTION_STEPS = 60  # water-fill halvings; Newton steps, then at most as many halvings, per crossing
 
 
@@ -256,7 +252,7 @@ class _KnotCurve(_Curve):
             # overshoot even though the right knot already satisfies em >= t
             v = min(self.xs[idx - 1] + (t - ems[idx - 1]) / sf, self.xs[idx])
         if v > self.cap:
-            if self.em_cap >= t - 1e-12 * t:
+            if self.em_cap >= t - metrics.Q_TOL * t:  # t is a floor times mu
                 return self.cap
             return math.inf
         return v
@@ -333,7 +329,7 @@ def _water_fill(curves, budget, lo, hi):
     """Maximize sum of E[min(C_i, v_i)] s.t. sum v = budget, lo <= v <= hi.
 
     Bisects a common cdf level in [0, 1] until the levels sum to the budget
-    within tol = V_TOLERANCE min(budget, 1), the bracket cannot shrink or
+    within tol = metrics.resource_tol(budget), the bracket cannot shrink or
     BISECTION_STEPS halvings have run. Any residual sitting on a survival
     step is assigned greedily by ascending group index (utilization-equivalent
     on the flat segment).
@@ -356,8 +352,8 @@ def _water_fill(curves, budget, lo, hi):
     of their spans' shared stretch where they cross it: its start above the
     budget, its end below.
     """
-    tol = V_TOLERANCE * min(budget, 1.0)
-    feas_tol = 1e-9 * budget
+    tol = metrics.resource_tol(budget)
+    feas_tol = metrics.BUDGET_TOL * budget
     sum_lo, sum_hi = sum(lo), sum(hi)
     if sum_lo > budget + feas_tol or sum_hi < budget - feas_tol:
         raise InfeasibleError(
@@ -503,20 +499,20 @@ def _alpha_fair(scenario: Scenario, alpha: float, curves) -> Allocation:
     # First pass inverts the fairness band exactly. Near availability 1 the
     # inverse dv/dq blows up (survival underflows), so adjacent representable
     # floors can straddle the budget with no floor landing on it; the retry
-    # widens each band by 2e-9 in availability, 500 times inside the
-    # Q <= alpha + 1e-6 contract, which restores feasibility there. When
+    # widens each band by Q_RETRY in availability, 500 times inside the
+    # Q <= alpha + Q_CONTRACT contract, which restores feasibility there. When
     # both passes fail, the error is the first pass's, at the requested alpha.
     try:
         best_v = _floor_sweep(curves, budget, alpha)
     except InfeasibleError as first:
         try:
-            best_v = _floor_sweep(curves, budget, alpha + 2e-9)
+            best_v = _floor_sweep(curves, budget, alpha + metrics.Q_RETRY)
         except InfeasibleError:
             raise first from None
 
     alloc = Allocation(tuple(best_v))
     gap = metrics.fairness(scenario, alloc)
-    if gap > alpha + 1e-6:
+    if gap > alpha + metrics.Q_CONTRACT:
         raise ConvergenceError(
             f"sweep result has fairness {gap!r} exceeding alpha={alpha!r} + 1e-6"
         )
@@ -602,7 +598,7 @@ def _feasible_floors(curves, budget, alpha):
 
     ell_max = crossing(lo_gap, lo_slope, True, 0)
     ell_min = crossing(hi_gap, hi_slope, False, 1)
-    if ell_min > ell_max + 1e-9:
+    if ell_min > ell_max + metrics.FLOOR_TOL:
         raise InfeasibleError(
             f"no availability floor admits a feasible fairness band for alpha={alpha!r}"
         )
@@ -611,7 +607,7 @@ def _feasible_floors(curves, budget, alpha):
 
 def _floor_sweep(curves, budget, alpha):
     ell_min, ell_max, lows, highs = _feasible_floors(curves, budget, alpha)
-    slack = 1e-9 * min(budget, 1.0)  # a box inverted by no more than this is rounding
+    slack = metrics.resource_tol(budget)  # a box inverted by no more than this is rounding
 
     best_value, best_v = -math.inf, None
     prices = {}  # water-fill budget price of each feasible scored floor
@@ -691,7 +687,7 @@ def _floor_sweep(curves, budget, alpha):
             if _high_end_moves(c, high) and sf_high > lam:
                 g += c.mu * (1.0 - lam / sf_high)
                 scale += c.mu * (1.0 + lam / sf_high)
-        return g, 64.0 * _EPS * scale, kink
+        return g, metrics.U_ROUNDING * scale, kink
 
     # U*(ell), the utilization score(ell) reaches, is concave on the
     # interval. With g_i the inverse of q_i, convex since q_i is concave and
@@ -751,7 +747,7 @@ def _slope_search(score, slope, a, b):
         if math.isfinite(ga - gb):
             w, rise, spread = b - a, ub - ua, ga - gb
             gain = w * ga / spread * -gb
-            tol = 64.0 * _EPS * max(abs(ua), abs(ub))
+            tol = metrics.U_ROUNDING * max(abs(ua), abs(ub))
             if gain <= tol:
                 return
             if kept < 3:

@@ -9,13 +9,28 @@ when Q <= alpha.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import certificates
 from .distributions import DemandDistribution
 
-_Q_EQUAL_TOL = 1e-12  # availabilities closer than this count as equal
+# The tolerances that judge a result, each in the unit it bounds.
+BUDGET_TOL = 1e-9  # resource, times R: an allocation sums to R within this
+RESOURCE_TOL = 1e-9  # resource, times min(R, 1): the water-fill's stop, box and utilization slack
+Q_TOL = 1e-12  # availability: a gap this close to 0 or to its bound meets it
+Q_CLAMP = 1e-9  # availability: overshoot of [0, 1] that is clamped as rounding
+Q_CONTRACT = 1e-6  # availability: alpha_fair_optimal's result has Q <= alpha + this
+Q_RETRY = 2e-9  # availability: the band widening of the floor sweep's retry
+FLOOR_TOL = 1e-9  # availability floor: ell_min past ell_max by this is rounding
+U_ROUNDING = 64.0 * sys.float_info.epsilon  # utilization, relative: rounding of U and its slope
+NEGATIVE_MASS = 1e-6  # probability: Pr[C < 0] above this draws a warning
+
+
+def resource_tol(budget: float) -> float:
+    """RESOURCE_TOL in resource units: relative to R, and to min(R, 1) below R = 1."""
+    return RESOURCE_TOL * min(budget, 1.0)
 
 
 @dataclass(frozen=True)
@@ -85,13 +100,13 @@ class Allocation:
 
 
 def check_allocation(scenario: Scenario, alloc: Allocation) -> None:
-    """Reject size mismatches and sums more than 1e-9 R away from R."""
+    """Reject size mismatches and sums more than BUDGET_TOL R away from R."""
     if len(alloc.values) != scenario.size:
         raise ValueError(
             f"allocation has {len(alloc.values)} entries for {scenario.size} groups"
         )
     budget = scenario.resource
-    if abs(alloc.total - budget) > 1e-9 * budget:
+    if abs(alloc.total - budget) > BUDGET_TOL * budget:
         raise ValueError(
             f"allocation sums to {alloc.total!r}, expected {budget!r}"
         )
@@ -100,7 +115,7 @@ def check_allocation(scenario: Scenario, alloc: Allocation) -> None:
 def availability(dist: DemandDistribution, v: float) -> float:
     """Expected served fraction of demand, E[min(C, v)] / E[C].
 
-    Clamped into [0, 1] only against <= 1e-9 numerical overshoot; genuinely
+    Clamped into [0, 1] only against <= Q_CLAMP numerical overshoot; genuinely
     out-of-range values (a normal model with heavy negative mass) pass
     through so the misuse stays visible.
     """
@@ -109,9 +124,9 @@ def availability(dist: DemandDistribution, v: float) -> float:
 
 def clamp_availability(value: float) -> float:
     """An availability computed elsewhere, clamped as ``availability`` clamps it."""
-    if -1e-9 <= value < 0.0:
+    if -Q_CLAMP <= value < 0.0:
         return 0.0
-    if 1.0 < value <= 1.0 + 1e-9:
+    if 1.0 < value <= 1.0 + Q_CLAMP:
         return 1.0
     return value
 
@@ -129,9 +144,13 @@ def group_availabilities(scenario: Scenario, alloc: Allocation) -> list:
 
 def fairness(scenario: Scenario, alloc: Allocation) -> float:
     """Largest pairwise availability gap, max_i q_i - min_i q_i."""
-    qs = group_availabilities(scenario, alloc)
+    return _gap(group_availabilities(scenario, alloc))
+
+
+def _gap(qs) -> float:
+    """max(qs) - min(qs), read as 0 below Q_TOL."""
     gap = max(qs) - min(qs)
-    return 0.0 if gap < _Q_EQUAL_TOL else gap
+    return 0.0 if gap < Q_TOL else gap
 
 
 def check_alpha(alpha) -> float:
@@ -144,7 +163,7 @@ def check_alpha(alpha) -> float:
 
 def is_alpha_fair(scenario: Scenario, alloc: Allocation, alpha: float) -> bool:
     alpha = check_alpha(alpha)
-    return fairness(scenario, alloc) <= alpha + 1e-12
+    return fairness(scenario, alloc) <= alpha + Q_TOL
 
 
 def negative_mass_warnings(scenario: Scenario) -> list:
@@ -152,7 +171,7 @@ def negative_mass_warnings(scenario: Scenario) -> list:
     warnings = []
     for g in scenario.groups:
         mass = g.dist.mass_below_zero()
-        if mass > 1e-6:
+        if mass > NEGATIVE_MASS:
             warnings.append(
                 f"group {g.name!r}: Pr[C < 0] = {mass:.3g}; "
                 "count model places visible mass on negative demand"
@@ -248,13 +267,13 @@ def evaluate(
         alpha = check_alpha(alpha)
     qs = group_availabilities(scenario, alloc)
     total = utilization(scenario, alloc)
-    gap = fairness(scenario, alloc)
+    gap = _gap(qs)
     bounds = None
     if epsilon is not None:
         cert = certificates.scenario_certificate(scenario, epsilon, method)
         tb = certificates.theoretical_bounds(cert, scenario, alpha)
         budget = scenario.resource
-        slack = 1e-9 * min(budget, 1.0)  # in resource units, so it scales with R below 1
+        slack = resource_tol(budget)
         cap = min(budget, scenario.total_mean)
         util_bound = tb.utilization_fraction * cap
         util_bound_low = (
@@ -272,9 +291,9 @@ def evaluate(
             utilization_bound_low_resource=util_bound_low,
             pof_bound=tb.pof_bound,
             pof_bound_small=tb.pof_bound_small,
-            fairness_ok=gap <= tb.fairness_bound + 1e-12,
+            fairness_ok=gap <= tb.fairness_bound + Q_TOL,
             fairness_low_resource_ok=(
-                gap <= tb.fairness_bound_low_resource + 1e-12
+                gap <= tb.fairness_bound_low_resource + Q_TOL
                 if tb.fairness_bound_low_resource is not None
                 else None
             ),

@@ -26,7 +26,15 @@ from fairalloc.distributions import (
     Poisson,
     TwoPoint,
 )
-from fairalloc.metrics import Allocation, Group, Scenario, evaluate, fairness, utilization
+from fairalloc.metrics import (
+    Allocation,
+    Group,
+    Scenario,
+    evaluate,
+    fairness,
+    resource_tol,
+    utilization,
+)
 from fairalloc.montecarlo import estimate_report
 from fairalloc.scenario_io import emit_availability_curve, load_scenario_path
 
@@ -474,6 +482,27 @@ def test_slope_search_does_as_well_as_golden_section_with_fewer_floors(dists, ra
         scenario(ratio * sum(d.mean() for d in dists), *dists), alpha)
 
 
+# Just right of a kink of U*, the water-fill's signed dust leaves a group up
+# to 9.9e-10 below its low box end, within its tolerance. Those floors then
+# score U rising as on the left branch (+0.085 in the first case) while
+# slope() rightly reads g = -71.7. Each tangent step lands on b and is
+# clamped by its margin, so b creeps left by 1e-12 down to 1e-14 a step:
+# 120 water-fills against golden-section's 67 in the first case, 91 against
+# 70 in the second. Placing the dust by the price would mend it.
+@pytest.mark.xfail(strict=True, reason="the water-fill's dust reads as the wrong side of a kink")
+@pytest.mark.parametrize("dists, ratio, alpha", [
+    ([TwoPoint(29.0), TwoPoint(82.0), TwoPoint(1.5), Exponential(1.0)], 1.0, 0.01),
+    ([Exponential(1.0), Constant(1.0), TwoPoint(1.5)], 1.5, 0.05),
+], ids=["two-points-and-exponential", "exponential-constant-two-point"])
+def test_slope_search_scores_no_more_floors_than_golden_section_next_to_a_kink(
+        dists, ratio, alpha):
+    sc = scenario(ratio * sum(d.mean() for d in dists), *dists)
+    _, _, golden_fills = golden_section_outcome(sc, alpha)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _, _, fills = fair_outcome(sc, alpha, monkeypatch)
+    assert fills <= golden_fills
+
+
 @pytest.mark.parametrize("alpha", [0.05, 0.25])
 @pytest.mark.parametrize("path", GOLDEN_SCENARIOS, ids=lambda path: path.stem)
 def test_slope_search_does_as_well_as_golden_section_on_golden_scenarios(path, alpha):
@@ -522,7 +551,7 @@ def test_knot_water_fill_stop_at_an_end_matches_full_loop(
     # fills step at s = 0 (lo) or at s = 1 (hi), which prices them at 1 or 0
     curves = [allocation_module._curve(d, cap) for d in laws]
     lo, hi = list(lo), list(hi)
-    tol = allocation_module.V_TOLERANCE * min(budget, 1.0)  # the library's stop
+    tol = resource_tol(budget)  # the library's stop
     expected, _ = oracles.water_fill_full_loop(
         curves, budget, lo, hi, allocation_module.BISECTION_STEPS, tol
     )
@@ -956,7 +985,7 @@ def test_knot_water_fill_stop_matches_full_loop(dists, repeat, cap, ends, where,
         budget = sum(c.box_fill(a, b)[0](where) for c, a, b in zip(curves, lo, hi))
     else:
         budget = sum(lo) + where * (sum(hi) - sum(lo))
-    tol = allocation_module.V_TOLERANCE * min(budget, 1.0)  # the library's stop
+    tol = resource_tol(budget)  # the library's stop
     expected, (s_lo, s_hi) = oracles.water_fill_full_loop(
         curves, budget, lo, hi, allocation_module.BISECTION_STEPS, tol
     )

@@ -1,11 +1,16 @@
+import ast
+import pathlib
+import tokenize
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import strategies
-from fairalloc import certificates
-from fairalloc.distributions import Binomial, Constant, Normal, Poisson, TwoPoint
+from fairalloc import certificates, metrics
+from fairalloc.allocation import mean_weighted
+from fairalloc.distributions import Binomial, Constant, DemandDistribution, Normal, Poisson, TwoPoint
 from fairalloc.metrics import (
     Allocation,
     Group,
@@ -244,6 +249,24 @@ def test_evaluate_with_certificate_bounds():
     assert set(rows[0]) >= {"group", "v", "q", "utilization", "fairness", "fairness_bound"}
 
 
+def test_evaluate_computes_each_availability_once(monkeypatch):
+    # one E[min] per group for the availabilities and one for utilization;
+    # fairness reads the same availabilities (it recomputed them: 3n calls)
+    sc = poisson_scenario(500.0)
+    alloc = mean_weighted(sc)
+    calls = []
+    expected_min = DemandDistribution.expected_min
+
+    def counting_expected_min(self, v):
+        calls.append(v)
+        return expected_min(self, v)
+
+    monkeypatch.setattr(DemandDistribution, "expected_min", counting_expected_min)
+    report = evaluate(sc, alloc, epsilon=0.1)
+    assert len(calls) == 2 * sc.size
+    assert report.fairness == fairness(sc, alloc)
+
+
 def test_evaluate_flags_negative_mass_models():
     sc = Scenario(resource=10.0, groups=(Group("n", Normal(10.0, 10.0)),))
     report = evaluate(sc, Allocation((10.0,)))
@@ -260,3 +283,35 @@ def test_report_availability_within_unit_interval():
         assert -1e-9 <= g.availability <= 1.0 + 1e-9
     qs = [g.availability for g in report.groups]
     assert report.fairness == pytest.approx(max(qs) - min(qs), abs=1e-12)
+
+
+# ---------------------------------------------------------------- tolerances
+
+SRC = pathlib.Path(metrics.__file__).parent
+
+
+def small_float_literals(path, allowed_lines=frozenset()):
+    """(line, text) of each float literal with 0 < |x| < 1e-3 in a source file."""
+    found = []
+    with tokenize.open(path) as f:
+        for tok in tokenize.generate_tokens(f.readline):
+            text = tok.string.replace("_", "").lower()
+            if tok.type != tokenize.NUMBER or text.startswith(("0x", "0o", "0b")) or text.endswith("j"):
+                continue
+            if 0.0 < float(text) < 1e-3 and tok.start[0] not in allowed_lines:
+                found.append((tok.start[0], tok.string))
+    return found
+
+
+def test_every_result_tolerance_is_named_in_the_metrics_block():
+    # the block is metrics.py's module-level assignments; numerical-method
+    # and input-validation literals elsewhere (distributions, certificates)
+    # are not result tolerances
+    tree = ast.parse((SRC / "metrics.py").read_text())
+    block = frozenset(line for node in tree.body if isinstance(node, ast.Assign)
+                      for line in range(node.lineno, node.end_lineno + 1))
+    assert block
+    found = {name: small_float_literals(SRC / name)
+             for name in ("allocation.py", "cli.py", "montecarlo.py", "scenario_io.py")}
+    found["metrics.py"] = small_float_literals(SRC / "metrics.py", block)
+    assert {name: lits for name, lits in found.items() if lits} == {}
