@@ -14,6 +14,8 @@ import functools
 import math
 import sys
 
+import numpy as np
+
 from . import allocation, certificates, metrics, montecarlo, scenario_io
 from .montecarlo import DEFAULT_SEED
 
@@ -92,24 +94,29 @@ def _allocation(args, scenario) -> metrics.Allocation:
     return alloc
 
 
-def _emit(args, sf, settings: dict, result: dict, csv_rows, summary: str) -> None:
+def _columns(rows) -> dict:
+    """The row dicts in rows as columns, headed by the first row's keys."""
+    rows = list(rows)
+    return {key: [row.get(key) for row in rows] for key in rows[0]}
+
+
+def _emit(args, sf, settings: dict, result: dict, columns: dict, summary: str) -> None:
     """Write the report for args.command and its one-line summary.
 
     The JSON report is exactly json.dumps(envelope, indent=2) plus a newline,
-    and its envelope leads its settings with the scenario path. csv_rows is
-    an iterable of row dicts that only the CSV form reads: it carries the
-    version and input digest on every row, and its header is the first
-    row's keys.
+    with any array in result written as its tolist(); its envelope leads its
+    settings with the scenario path. columns (header -> list or 1-D array)
+    is what only the CSV form reads: it gains the version and input digest
+    as its last two columns.
     """
     envelope = scenario_io.report_envelope(
         args.command, {"scenario": args.scenario, **settings}, sf.digest, result
     )
     if args.format == "csv":
-        rows = list(csv_rows)
-        for row in rows:
-            row.setdefault("tool_version", envelope["version"])
-            row.setdefault("input_digest", envelope["input_digest"])
-        text = scenario_io.rows_to_csv(rows, list(rows[0]))
+        count = len(next(iter(columns.values())))
+        columns.setdefault("tool_version", [envelope["version"]] * count)
+        columns.setdefault("input_digest", [envelope["input_digest"]] * count)
+        text = scenario_io.rows_to_csv(columns)
     else:
         text = scenario_io.dumps_report(envelope) + "\n"
     if args.output:
@@ -128,7 +135,7 @@ def _cmd_allocate(args, sf) -> None:
         for g, v in zip(scenario.groups, alloc.values)
     ]
     result = {"resource": scenario.resource, "total_mean": scenario.total_mean, "groups": rows}
-    _emit(args, sf, {}, result, rows,
+    _emit(args, sf, {}, result, _columns(rows),
           f"mean-weighted allocation over {scenario.size} groups, resource {scenario.resource}")
 
 
@@ -141,7 +148,7 @@ def _cmd_evaluate(args, sf) -> None:
     settings = {"epsilon": args.epsilon, "alpha": args.alpha,
                 "method": args.method if args.epsilon is not None else None,
                 "allocation": list(alloc.values)}
-    _emit(args, sf, settings, report.to_dict(), report.to_csv_rows(),
+    _emit(args, sf, settings, report.to_dict(), _columns(report.to_csv_rows()),
           f"utilization {report.utilization:.6g}, fairness {report.fairness:.6g}")
 
 
@@ -177,7 +184,7 @@ def _cmd_optimize(args, sf) -> None:
             row["v_alpha_fair"] = v
             row["alpha_fair_utilization"] = u_fair
         summary += f"; alpha-fair utilization {u_fair:.6g} at alpha={alpha}"
-    _emit(args, sf, {"alpha": alpha}, result, rows, summary)
+    _emit(args, sf, {"alpha": alpha}, result, _columns(rows), summary)
 
 
 def _cmd_certify(args, sf) -> None:
@@ -211,7 +218,7 @@ def _cmd_certify(args, sf) -> None:
         )
     _emit(args, sf,
           {"epsilon": epsilon, "method": args.method, "target_delta": target},
-          {"certificate": cert.to_dict(), "groups": rows}, rows,
+          {"certificate": cert.to_dict(), "groups": rows}, _columns(rows),
           f"certificate delta {cert.delta:.6g} at epsilon {epsilon} ({cert.method})")
 
 
@@ -247,8 +254,8 @@ def _cmd_pof(args, sf) -> None:
         report = [{**lead, **result.to_dict()} for lead, result in cells]
         pofs = [result.pof for _, result in cells]
         summary = f"pof {min(pofs):.9g} to {max(pofs):.9g} over {len(cells)} cells"
-    _emit(args, sf, settings, report, ({**lead, **result.to_row()} for lead, result in cells),
-          summary)
+    _emit(args, sf, settings, report,
+          _columns({**lead, **result.to_row()} for lead, result in cells), summary)
 
 
 def _cmd_curve(args, sf) -> None:
@@ -259,14 +266,12 @@ def _cmd_curve(args, sf) -> None:
         group.name: scenario_io.emit_availability_curve(group.dist, v_max, args.steps)
         for group in scenario.groups
     }
-    rows = (
-        {"group": name, "v": v, "availability": q, "expected_min": em}
-        for name, table in series.items()
-        for v, q, em in table
-    )
+    table = np.concatenate(list(series.values()))
+    columns = {"group": [name for name in series for _ in range(args.steps)],
+               "v": table[:, 0], "availability": table[:, 1], "expected_min": table[:, 2]}
     _emit(args, sf, {"v_max": v_max, "steps": args.steps},
           {"v_max": v_max, "steps": args.steps, "series": series},
-          rows, f"curves for {scenario.size} groups over [0, {v_max}] in {args.steps} steps")
+          columns, f"curves for {scenario.size} groups over [0, {v_max}] in {args.steps} steps")
 
 
 def _cmd_mc_check(args, sf) -> None:
@@ -302,19 +307,20 @@ def _cmd_mc_check(args, sf) -> None:
     # shortfall v - C of such a draw: z divides by at least that.
     rows = []
     floors = []
-    for group, v, report in zip(scenario.groups, alloc.values, mc.groups):
+    ems = metrics.expected_mins(scenario, alloc)
+    for group, v, em, report in zip(scenario.groups, alloc.values, ems, mc.groups):
         floor = math.sqrt(3.0) / samples * group.dist.shortfall_bound(v)
         floors.append(floor)
-        rows.append(comparison(f"expected_min[{group.name}]", group.dist.expected_min(v),
-                               report.expected_min, floor))
-        rows.append(comparison(f"availability[{group.name}]", metrics.availability(group.dist, v),
-                               report.availability, floor / group.dist.mean()))
-    rows.append(comparison("utilization", metrics.utilization(scenario, alloc), mc.utilization,
-                           math.hypot(*floors)))
+        mean = group.dist.mean()
+        rows.append(comparison(f"expected_min[{group.name}]", em, report.expected_min, floor))
+        rows.append(comparison(f"availability[{group.name}]",
+                               metrics.clamp_availability(em / mean), report.availability,
+                               floor / mean))
+    rows.append(comparison("utilization", sum(ems), mc.utilization, math.hypot(*floors)))
     all_ok = all(row["ok"] for row in rows)
     _emit(args, sf, {"seed": seed, "samples": samples, "allocation": list(alloc.values)},
           {"rows": rows, "all_ok": all_ok, "mc_report": mc.to_dict()},
-          rows, f"{len(rows)} quantities compared at {samples} samples: "
+          _columns(rows), f"{len(rows)} quantities compared at {samples} samples: "
           + (f"all |z| <= {Z_LIMIT:g}" if all_ok else f"SOME CHECKS EXCEED {Z_LIMIT:g} SE"))
 
 

@@ -131,10 +131,15 @@ def clamp_availability(value: float) -> float:
     return value
 
 
+def expected_mins(scenario: Scenario, alloc: Allocation) -> list:
+    """E[min(C_i, v_i)] of each group, one call each, after check_allocation."""
+    check_allocation(scenario, alloc)
+    return [g.dist.expected_min(v) for g, v in zip(scenario.groups, alloc.values)]
+
+
 def utilization(scenario: Scenario, alloc: Allocation) -> float:
     """Total expected amount of resource consumed."""
-    check_allocation(scenario, alloc)
-    return sum(g.dist.expected_min(v) for g, v in zip(scenario.groups, alloc.values))
+    return sum(expected_mins(scenario, alloc))
 
 
 def group_availabilities(scenario: Scenario, alloc: Allocation) -> list:
@@ -265,8 +270,9 @@ def evaluate(
     """Score an allocation; with an epsilon, compare against certificate bounds."""
     if alpha is not None:
         alpha = check_alpha(alpha)
-    qs = group_availabilities(scenario, alloc)
-    total = utilization(scenario, alloc)
+    ems = expected_mins(scenario, alloc)
+    qs = [clamp_availability(em / g.dist.mean()) for g, em in zip(scenario.groups, ems)]
+    total = sum(ems)
     gap = _gap(qs)
     bounds = None
     if epsilon is not None:

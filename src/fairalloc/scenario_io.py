@@ -15,7 +15,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -199,8 +199,8 @@ def input_digest(text: str) -> str:
 _MAX_STEPS = sys.maxsize // 8  # the longest float64 grid numpy can index
 
 
-def emit_availability_curve(dist: DemandDistribution, v_max: float, steps: int):
-    """Rows (v, availability, expected_min) on a uniform grid over [0, v_max].
+def emit_availability_curve(dist: DemandDistribution, v_max: float, steps: int) -> np.ndarray:
+    """A (steps, 3) float64 array of rows (v, availability, expected_min) over [0, v_max].
 
     The grid is i * (v_max / (steps - 1)), ending at v_max itself, and its
     E[min] column is one array call on the law. Only availabilities outside
@@ -217,7 +217,7 @@ def emit_availability_curve(dist: DemandDistribution, v_max: float, steps: int):
     qs = ems / dist.mean()
     for i in np.flatnonzero((qs < 0.0) | (qs > 1.0)).tolist():
         qs[i] = clamp_availability(float(qs[i]))
-    return list(zip(vs.tolist(), qs.tolist(), ems.tolist()))
+    return np.column_stack((vs, qs, ems))
 
 
 _CSV_SPECIAL = re.compile(r'[",\r\n]')
@@ -239,7 +239,14 @@ def format_value(value) -> str:
     return _csv_quote(str(value))
 
 
-def _csv_column(values: list) -> list:
+def _distinct(values: np.ndarray):
+    """The distinct doubles of values, as floats, and the index of each value among them.
+    Doubles are told apart by their bits: 0.0 and -0.0 (and NaN payloads) stay apart."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return bits.view(np.float64).tolist(), inverse
+
+
+def _csv_column(values) -> list:
     """format_value over one column, with all-float and all-str columns done in bulk."""
     types = set(map(type, values))
     if types == {float}:
@@ -249,71 +256,82 @@ def _csv_column(values: list) -> list:
     return list(map(format_value, values))
 
 
-def rows_to_csv(rows, columns) -> str:
-    """CSV text of the dicts in rows: a header of columns, then one line per row.
+def rows_to_csv(columns: dict) -> str:
+    """CSV text of columns (header -> list or 1-D array, all of one length).
 
-    A key a row lacks gives an empty cell; every cell is format_value's.
-    The cells are formatted one column at a time, which costs little more
-    than the float formatting itself. columns must be non-empty.
+    A header line, then one line per row; every cell is format_value's. The
+    float64 arrays among the columns are formatted together, each of their
+    distinct values once. columns must be non-empty.
     """
-    cells = [_csv_column([row.get(col) for row in rows]) for col in columns]
-    lines = [",".join(map(_csv_quote, columns)), *map(",".join, zip(*cells))]
+    floats = [key for key, values in columns.items()
+              if type(values) is np.ndarray and values.dtype == np.float64]
+    cells = {key: values if key in floats else _csv_column(values) for key, values in columns.items()}
+    if floats:
+        distinct, inverse = _distinct(np.concatenate([columns[key] for key in floats]))
+        texts = np.array(list(map(format, distinct, repeat(".17g"))), dtype=object)[inverse]
+        cells.update(zip(floats, texts.reshape(len(floats), -1).tolist()))
+    # zip hands ",".join one tuple that it refills for every row
+    lines = [",".join(map(_csv_quote, columns)), *map(",".join, zip(*cells.values()))]
     return "\n".join(lines) + "\n"
 
 
-def _is_table(value) -> bool:
-    """Whether value is a non-empty list of non-empty rows of ints and floats (not bools)."""
-    # the first row is tested alone so that lists of scalars cost little; all(value): no empty row
-    return (
-        type(value) is list and len(value) > 0 and type(value[0]) in (list, tuple)
-        and set(map(type, value)) <= {list, tuple} and all(value)
-        and set(map(type, chain.from_iterable(value))) <= {int, float}
-    )
+def _holds_array(obj: dict) -> bool:
+    """Whether an array is a value of obj or of a dict nested in it."""
+    return any(type(value) is np.ndarray or type(value) is dict and _holds_array(value)
+               for value in obj.values())
 
 
-def _holds_table(obj: dict) -> bool:
-    """Whether a table is a value of obj or of a dict nested in it."""
-    for value in obj.values():
-        if type(value) is dict:
-            if _holds_table(value):
-                return True
-        elif _is_table(value):
-            return True
-    return False
-
-
-def _dumps_nested(obj, pad: str) -> str:
-    """json.dumps(obj, indent=2) as it reads pad deep, with its tables through the C encoder.
-
-    A table is one compact json.dumps call, its rows and cells then broken
-    onto lines by replacing "], [" and ", ", which number text never holds.
-    """
-    if _is_table(obj):
-        rows, cells = pad + "  ", pad + "    "
-        body = json.dumps(obj)[2:-2].replace("], [", f"\n{rows}],\n{rows}[\n{cells}")
-        body = body.replace(", ", f",\n{cells}")
-        return f"[\n{rows}[\n{cells}{body}\n{rows}]\n{pad}]"
-    if type(obj) is dict and _holds_table(obj) and all(type(key) is str for key in obj):
-        inner = pad + "  "
-        items = ",\n".join(
-            f"{inner}{json.dumps(key)}: {_dumps_nested(value, inner)}" for key, value in obj.items()
-        )
-        return f"{{\n{items}\n{pad}}}"
+def _layout(obj, pad: str, parts: list) -> None:
+    """Append json.dumps(obj, indent=2) as it reads pad deep to parts, with an
+    (array, pad) pair in place of each non-empty 2-D float64 array in dicts."""
+    if type(obj) is np.ndarray and obj.ndim == 2 and obj.size and obj.dtype == np.float64:
+        parts.append((obj, pad))
+        return
+    if type(obj) is dict and _holds_array(obj) and all(type(key) is str for key in obj):
+        parts.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            parts.append(f"{',' if i else ''}\n{pad}  {json.dumps(key)}: ")
+            _layout(value, pad + "  ", parts)
+        parts.append(f"\n{pad}}}")
+        return
     # a JSON string holds no raw newline, so re-padding a plain dump's lines is safe
-    text = json.dumps(obj, indent=2)
-    return text.replace("\n", "\n" + pad) if pad else text
+    text = json.dumps(obj, indent=2, default=np.ndarray.tolist)
+    parts.append(text.replace("\n", "\n" + pad) if pad else text)
 
 
 def dumps_report(obj) -> str:
-    """Exactly json.dumps(obj, indent=2), with number tables through the C encoder.
+    """Exactly json.dumps(obj, indent=2), with each ndarray in it written as its tolist().
 
-    With indent, json.dumps runs its pure-Python encoder, which spends most
-    of a curve report's time on its thousands of rows. A table is a dict
-    value that is a non-empty list of non-empty rows of ints and floats; a
-    report without one costs a single json.dumps call after a walk over its
-    dicts.
+    With indent, json.dumps runs its pure-Python encoder, slow on a curve's
+    thousands of rows. So the non-empty 2-D float64 arrays that are values
+    of str-keyed dicts nested only in such dicts are written here: the text
+    of all their distinct doubles comes from one json.dumps call, and the
+    report from one join. Any other array goes through json.dumps as its
+    tolist(). A report without arrays costs one json.dumps after a walk over its dicts.
     """
-    return _dumps_nested(obj, "")
+    parts = []
+    _layout(obj, "", parts)
+    arrays = [part for part in parts if type(part) is tuple]
+    if not arrays:
+        return "".join(parts)
+    distinct, inverse = _distinct(np.concatenate([a.ravel() for a, _ in arrays]))
+    texts = np.array(json.dumps(distinct)[1:-1].split(", "), dtype=object)[inverse]
+    out, start = [], 0
+    for part in parts:
+        if type(part) is not tuple:
+            out.append(part)
+            continue
+        array, pad = part
+        # each cell followed by the text after it: the next cell's indent,
+        # the next row's opening, or the array's end
+        tokens = np.empty((len(array), 2 * array.shape[1]), dtype=object)
+        tokens[:, 0::2] = texts[start:start + array.size].reshape(array.shape)
+        tokens[:, 1::2] = f",\n{pad}    "  # one str for all, where np.full would copy it
+        tokens[:, -1] = f"\n{pad}  ],\n{pad}  [\n{pad}    "
+        tokens[-1, -1] = f"\n{pad}  ]\n{pad}]"
+        out += [f"[\n{pad}  [\n{pad}    ", *tokens.ravel().tolist()]
+        start += array.size
+    return "".join(out)
 
 
 def report_envelope(command: str, settings: dict, digest: Optional[str], result: dict) -> dict:

@@ -3,6 +3,7 @@ import io
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 import oracles
@@ -10,7 +11,7 @@ from fairalloc import Scenario, __version__, pof, scenario_certificate, scenario
 from fairalloc import allocation as allocation_module
 from fairalloc import cli
 from fairalloc.cli import DEFAULT_SEED, EXIT_OK, EXIT_OPTIMIZER, EXIT_VALIDATION, main
-from fairalloc.distributions import Binomial, Poisson
+from fairalloc.distributions import Binomial, DemandDistribution, Poisson
 from fairalloc.scenario_io import format_value, load_scenario_path
 
 # Sets epsilon 0.1, at which its certificate's delta is 0.38.
@@ -532,13 +533,13 @@ def test_curve_reports_at_benchmark_size_round_trip(capsys):
     tables = {g.name: scenario_io.emit_availability_curve(g.dist, result["v_max"], 2001)
               for g in sf.scenario.groups}
     for name, table in tables.items():
-        assert [[x.hex() for x in row] for row in result["series"][name]] \
-            == [[float.hex(x) for x in row] for row in table]
+        # bit for bit, so -0.0 and NaN payloads count too
+        assert np.array_equal(np.array(result["series"][name]).view(np.int64), table.view(np.int64))
     code, text, _ = run(capsys, *argv, "--format", "csv")
     assert code == EXIT_OK
     rows = [{"group": name, "v": v, "availability": q, "expected_min": em,
              "tool_version": __version__, "input_digest": sf.digest}
-            for name, table in tables.items() for v, q, em in table]
+            for name, table in tables.items() for v, q, em in table.tolist()]
     assert text == oracles.rows_to_csv_rowwise(rows, list(rows[0]))
 
 
@@ -576,6 +577,24 @@ def test_mc_check_reports_pass_column(capsys, poisson3):
     assert "utilization" in quantities
     for row in result["rows"]:
         assert abs(row["z_score"]) <= 4.0
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_mc_check_computes_each_expected_min_once(capsys, poisson3, monkeypatch, fmt):
+    # one exact E[min] per group serves its expected_min, availability and
+    # utilization rows (they made 3n calls)
+    calls = []
+    expected_min = DemandDistribution.expected_min
+
+    def counting_expected_min(self, v):
+        calls.append(v)
+        return expected_min(self, v)
+
+    monkeypatch.setattr(DemandDistribution, "expected_min", counting_expected_min)
+    code, _, _ = run(capsys, "mc-check", "--scenario", poisson3, "--samples", "1000",
+                     "--format", fmt)
+    assert code == EXIT_OK
+    assert len(calls) == 3
 
 
 @pytest.fixture

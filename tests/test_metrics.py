@@ -250,8 +250,8 @@ def test_evaluate_with_certificate_bounds():
 
 
 def test_evaluate_computes_each_availability_once(monkeypatch):
-    # one E[min] per group for the availabilities and one for utilization;
-    # fairness reads the same availabilities (it recomputed them: 3n calls)
+    # one E[min] per group serves the availabilities, utilization and
+    # fairness (they made 3n calls, then 2n)
     sc = poisson_scenario(500.0)
     alloc = mean_weighted(sc)
     calls = []
@@ -263,7 +263,7 @@ def test_evaluate_computes_each_availability_once(monkeypatch):
 
     monkeypatch.setattr(DemandDistribution, "expected_min", counting_expected_min)
     report = evaluate(sc, alloc, epsilon=0.1)
-    assert len(calls) == 2 * sc.size
+    assert len(calls) == sc.size
     assert report.fairness == fairness(sc, alloc)
 
 

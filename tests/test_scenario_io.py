@@ -1,5 +1,7 @@
+import builtins
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
+from fairalloc import scenario_io
 from fairalloc.distributions import Normal, Poisson, TwoPoint
 from fairalloc.scenario_io import (
     ScenarioError,
@@ -238,7 +241,7 @@ def test_scenario_to_dict_omits_empty_defaults():
 
 def test_constant_curve_is_linear_then_flat():
     rows = emit_availability_curve(__import__("fairalloc").Constant(100.0), 200.0, 201)
-    assert len(rows) == 201
+    assert rows.shape == (201, 3) and rows.dtype == np.float64
     vs = [r[0] for r in rows]
     qs = [r[1] for r in rows]
     assert vs[0] == 0.0 and vs[-1] == 200.0
@@ -270,7 +273,8 @@ def test_curve_two_step_grid_hits_endpoints():
 def test_curve_takes_numpy_integer_step_counts():
     # regression: np.int64(21) was rejected as "steps must be an integer >= 2"
     dist = Poisson(5.0)
-    assert emit_availability_curve(dist, 10.0, np.int64(21)) == emit_availability_curve(dist, 10.0, 21)
+    assert np.array_equal(emit_availability_curve(dist, 10.0, np.int64(21)),
+                          emit_availability_curve(dist, 10.0, 21))
 
 
 def test_curve_grid_validation():
@@ -295,24 +299,28 @@ def test_format_value_is_lossless_for_floats():
 
 
 def test_rows_to_csv_layout():
-    rows = [{"a": 1, "b": 0.5}, {"a": 2, "b": None}]
-    text = rows_to_csv(rows, ["a", "b"])
+    text = rows_to_csv({"a": [1, 2], "b": np.array([0.5, np.nan])})
     lines = text.strip().split("\n")
     assert lines[0] == "a,b"
     assert lines[1] == "1,0.5"
-    assert lines[2] == "2,"
+    assert lines[2] == "2,nan"
+    assert rows_to_csv({"a": [1, 2], "b": [0.5, None]}) == "a,b\n1,0.5\n2,\n"
 
 
 def test_rows_to_csv_quotes_cells_per_rfc_4180():
-    rows = [{"a": 'north, "east"', "b": 1.5}, {"a": "plain", "b": "line\nbreak"}]
-    text = rows_to_csv(rows, ["a", "b"])
+    text = rows_to_csv({"a": ['north, "east"', "plain"], "b": [1.5, "line\nbreak"]})
     assert text == 'a,b\n"north, ""east""",1.5\nplain,"line\nbreak"\n'
 
 
-# All-float and all-text columns take rows_to_csv's bulk paths; int columns
-# and mixed ones, with bools, None and np.float64, take the per-cell one.
+# All-float and all-text columns take rows_to_csv's bulk paths, float64
+# arrays its distinct-value one; int columns and mixed ones, with bools,
+# None and np.float64, take the per-cell one.
 _SPECIAL_TEXT = st.sampled_from([", ", "], [", "a\nb", "a\rb", '"q"', 'x, "y"\r\n', "\u00e9t\u00e9"])
 _TEXT = st.text(max_size=6) | _SPECIAL_TEXT
+# doubles whose bits or text are easy to confuse: signed zeros, NaN, infinities, subnormals
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                                2.5e-310, 2.2250738585072009e-308, 1e-300, 0.1, 1.0])
+_FLOATS = st.floats() | _EDGE_FLOATS
 _CSV_COLUMNS = st.sampled_from([
     st.floats(),
     _TEXT,
@@ -322,30 +330,34 @@ _CSV_COLUMNS = st.sampled_from([
 
 
 @given(data=st.data(),
-       columns=st.lists(st.text(min_size=1, max_size=4) | _SPECIAL_TEXT, min_size=1, max_size=5,
+       headers=st.lists(st.text(min_size=1, max_size=4) | _SPECIAL_TEXT, min_size=1, max_size=5,
                         unique=True),
        count=st.sampled_from([0, 1, 2, 37]))
-def test_rows_to_csv_matches_the_row_by_row_writer(data, columns, count):
-    cells = {col: data.draw(_CSV_COLUMNS) for col in columns}
-    optional = set(data.draw(st.lists(st.sampled_from(columns), max_size=2)))
-    rows = data.draw(st.lists(
-        st.fixed_dictionaries({c: v for c, v in cells.items() if c not in optional},
-                              optional={c: cells[c] for c in optional}),
-        min_size=count, max_size=count))
-    assert rows_to_csv(rows, columns) == oracles.rows_to_csv_rowwise(rows, columns)
+def test_rows_to_csv_matches_the_row_by_row_writer(data, headers, count):
+    arrays = set(data.draw(st.lists(st.sampled_from(headers), max_size=2)))
+    columns = {
+        col: np.array(data.draw(st.lists(_FLOATS, min_size=count, max_size=count)))
+        if col in arrays else data.draw(st.lists(data.draw(_CSV_COLUMNS), min_size=count, max_size=count))
+        for col in headers
+    }
+    rows = [{col: values[i] for col, values in columns.items()} for i in range(count)]
+    expected = oracles.rows_to_csv_rowwise(
+        [{col: float(v) if col in arrays else v for col, v in row.items()} for row in rows], headers)
+    assert rows_to_csv(columns) == expected
 
 
 _CELLS = st.sampled_from(
     [0, 1, -3, 10**20, -(10**20), 0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 5e-324, 2.5e-310]
 ) | st.integers() | st.floats()
 _ROWS = st.lists(_CELLS, min_size=1, max_size=4)
-_TABLES = st.lists(_ROWS | _ROWS.map(tuple), min_size=1, max_size=5)
-# lists the fast path must leave alone: empty tables and rows, rows of bools,
-# None or text, ragged rows, flat lists of numbers
-_NEAR_TABLES = st.lists(
-    st.lists(_CELLS | st.booleans() | st.none() | _TEXT, max_size=3), max_size=4
-) | st.lists(_CELLS, max_size=3)
-_LEAVES = st.none() | st.booleans() | _CELLS | _TEXT | _TABLES | _NEAR_TABLES
+_LISTS = st.lists(_ROWS | _ROWS.map(tuple) | _CELLS | st.booleans() | st.none() | _TEXT, max_size=4)
+# 2-D float arrays, 1x1 and 1xk among them; empty, 1-D and int arrays, and
+# arrays in lists or under non-str keys, take the plain path
+_ARRAYS = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: st.lists(_FLOATS, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+    .map(lambda cells: np.array(cells, dtype=np.float64).reshape(shape))
+) | st.sampled_from([np.empty((0, 3)), np.empty((2, 0)), np.array([1.5, -0.0]), np.array([[1, 2]])])
+_LEAVES = st.none() | st.booleans() | _CELLS | _TEXT | _LISTS | _ARRAYS
 _REPORTS = st.recursive(
     st.dictionaries(_TEXT, _LEAVES, max_size=4),
     lambda children: st.dictionaries(_TEXT, _LEAVES | children, max_size=4)
@@ -354,32 +366,73 @@ _REPORTS = st.recursive(
 )
 
 
+def _as_lists(obj):
+    """obj with each ndarray in it replaced by its tolist()."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if type(obj) in (list, tuple):
+        return list(map(_as_lists, obj))
+    return {key: _as_lists(value) for key, value in obj.items()} if type(obj) is dict else obj
+
+
+_TWICE = np.array([[0.0, -0.0, math.nan], [math.inf, -math.inf, 5e-324]])
+
+
 @given(_REPORTS)
-@example({"series": {"a": [(0.0, 0.5, 1.0), (1.0, 1.0, 2.0)], "b": [[1, 2], [3]]}, "n": 2})
+@example({"series": {"a": np.array([[0.0, 0.5, 1.0], [1.0, 1.0, 2.0]]), "b": [[1, 2], [3]]}, "n": 2})
+@example({"a": _TWICE, "b": {"c": _TWICE, "d": np.array([[2.5e-310]])}, "e": np.array([[1.0, 2.0, 3.0]])})
+@example({"a\nb": {", ": np.array([[-0.0, math.nan, 1e20]])}, "], [": "x, \"y\"\n"})
 @example({"t": [[True, 1.0]], "e": [], "r": [[]], "s": [["], [", 1.0]], "x": {1: [[1.0]]}})
-@example({"a\nb": {", ": [[-0.0, math.nan, 10**20]]}, "], [": "x, \"y\"\n"})
-@example([{"t": [[1.0]]}])
+@example({"x": {1: np.array([[1.0]])}, "y": [np.array([[0.5, -0.0]])], "z": np.array([[1, 2]])})
+@example([{"t": [[1.0]], "a": np.array([[1.0]])}])
 def test_dumps_report_is_json_dumps_with_indent(obj):
-    assert dumps_report(obj) == json.dumps(obj, indent=2)
+    assert dumps_report(obj) == json.dumps(_as_lists(obj), indent=2)
 
 
-def test_dumps_report_encodes_tables_compactly_and_other_reports_in_one_call(monkeypatch):
+def _counting(monkeypatch, module, name):
+    """The arguments of every call to module.name from here on."""
     calls = []
-    dumps = json.dumps
+    real = getattr(module, name, getattr(builtins, name, None))
 
-    def counting(obj, **kwargs):
-        calls.append((obj, kwargs.get("indent")))
-        return dumps(obj, **kwargs)
+    def counting(value, *args, **kwargs):
+        calls.append(value)
+        return real(value, *args, **kwargs)
 
-    monkeypatch.setattr(json, "dumps", counting)
-    report = {"a": {"b": [1.0, 2.0]}, "rows": [{"c": [[1.0]]}]}
-    dumps_report(report)
-    assert calls == [(report, 2)]
+    monkeypatch.setattr(module, name, counting, raising=False)
+    return calls
+
+
+def test_a_seven_group_curve_report_formats_each_distinct_double_once(monkeypatch):
+    sf = load_scenario_file((pathlib.Path(__file__).parent / "golden" / "scenarios"
+                             / "mix7_rz09.json").read_text())
+    series = {g.name: emit_availability_curve(g.dist, 400.0, 2001) for g in sf.scenario.groups}
+    cells = np.concatenate([a.ravel() for a in series.values()])
+    distinct = np.unique(cells.view(np.int64)).tolist()
+    assert len(distinct) < cells.size / 2
+    report = {"result": {"v_max": 400.0, "steps": 2001, "series": series}, "tool": "fairalloc"}
+    expected = json.dumps(_as_lists(report), indent=2)
+    calls = _counting(monkeypatch, json, "dumps")
+    assert dumps_report(report) == expected
+    [numbers] = [obj for obj in calls if isinstance(obj, list)]
+    assert sorted(np.array(numbers).view(np.int64).tolist()) == distinct
+    # the CSV's float columns hold the same doubles
+    table = np.concatenate(list(series.values()))
+    formatted = _counting(monkeypatch, scenario_io, "format")
+    rows_to_csv({"v": table[:, 0], "availability": table[:, 1], "expected_min": table[:, 2]})
+    assert sorted(np.array(formatted).view(np.int64).tolist()) == distinct
+    # a report without arrays is one call
     calls.clear()
-    tables = [(0.0, 0.5, 1.0)] * 3, [[1, 2], [3, 4]]
-    dumps_report({"series": {"x": tables[0], "y": tables[1]}, "n": 1})
-    assert [obj for obj, indent in calls if indent == 2] == [1]
-    assert [obj for obj, indent in calls if isinstance(obj, list)] == list(tables)
+    plain = {"a": {"b": [1.0, 2.0]}, "rows": [{"c": [[1.0]]}]}
+    dumps_report(plain)
+    assert calls == [plain]
+
+
+def test_rows_to_csv_formats_each_distinct_double_of_its_float_arrays_once(monkeypatch):
+    formatted = _counting(monkeypatch, scenario_io, "format")
+    columns = {"x": np.array([0.5, -0.0, 0.5, math.nan]), "n": [1, 2, 3, 4],
+               "y": np.array([0.0, 0.5, -0.0, 2.0])}
+    assert rows_to_csv(columns) == "x,n,y\n0.5,1,0\n-0,2,0.5\n0.5,3,-0\nnan,4,2\n"
+    assert len(formatted) == 5
 
 
 def test_report_envelope_fields():
