@@ -155,11 +155,13 @@ class _Atoms(DemandDistribution):
     ``sample``; the rest is written once, here.
     """
 
-    def _set_atoms(self, points, cum, suffix):
+    def _set_atoms(self, points, cum, suffix, vals=None):
         # knot tables take their positions from points, so a table shares
-        # the law's float objects rather than holding a copy of each atom
+        # the law's float objects rather than holding a copy of each atom;
+        # vals is the same atoms as a float array, where the caller has one
         object.__setattr__(self, "_points", points)
-        for name, column in (("_vals", points), ("_cum", cum), ("_suffix", suffix)):
+        for name, column in (("_vals", points if vals is None else vals), ("_cum", cum),
+                             ("_suffix", suffix)):
             object.__setattr__(self, name, np.asarray(column, dtype=float))
 
     def cdf(self, x: float) -> float:
@@ -275,9 +277,15 @@ class _GuideTable:
         self.cdf = cumulative / cumulative[-1]
         self.values = values
         buckets = 1 << (self.cdf.size.bit_length() + 4)
-        edges = np.arange(buckets + 1) / buckets
-        first = self.cdf.searchsorted(edges[:-1], side="right")
-        inside = self.cdf.searchsorted(edges[1:], side="left") - first
+        # scaling by a power of two is exact, so a point lies in bucket
+        # floor(scaled), and on an edge where scaled is whole; it is
+        # <= b / buckets from bucket ceil(scaled) on
+        scaled = self.cdf * buckets
+        low = np.floor(scaled)
+        on_edge = scaled == low
+        low = low.astype(np.intp)
+        first = np.cumsum(np.bincount(low + ~on_edge, minlength=buckets + 1)[:buckets])
+        inside = np.bincount(low[~on_edge], minlength=buckets)
         self.guide = values[first]
         self.guide[inside > 0] = np.nan
         self.single = np.where(inside == 1, first, -1)
@@ -659,11 +667,12 @@ class Empirical(_Atoms):
         # weights left to right, in input order
         starts = np.concatenate(([True], vals[1:] != vals[:-1]))
         probs = np.bincount(np.cumsum(starts) - 1, weights=probs)
-        object.__setattr__(self, "values", tuple(vals[starts].tolist()))
+        vals = vals[starts]
+        object.__setattr__(self, "values", tuple(vals.tolist()))
         object.__setattr__(self, "probabilities", tuple(probs.tolist()))
         suffix = np.concatenate((np.cumsum(probs[::-1])[::-1], [0.0]))
         suffix[0] = 1.0
-        self._set_atoms(self.values, np.cumsum(probs), suffix)
+        self._set_atoms(self.values, np.cumsum(probs), suffix, vals)
         below = _prefix_sums(self._vals * probs)
         mean = float(below[-1])
         if mean <= 0.0:

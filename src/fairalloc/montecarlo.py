@@ -8,12 +8,22 @@ Chunk j of group i draws from a generator seeded with
 ``SeedSequence(seed).spawn(...)[i].spawn(...)[j]``, so no two groups, chunks
 or seeds share a stream (a single estimate is group 0). The number of chunks
 is fixed by the sample count alone.
+
+An estimate runs its first chunk on the calling thread, and the rest there
+and on up to cpus - 1 helper threads, made for that call and joined before
+it returns; numpy releases the GIL inside the generators and the ufuncs,
+where the time goes. Each chunk's sums are added in chunk order, so an
+estimate has the same bits for any number of threads (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011).
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -52,6 +62,56 @@ def check_seed(seed: int) -> int:
     return int(seed)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_chunks(job, chunks: int) -> list:
+    """``[job(j) for j in range(chunks)]``, on this thread plus up to cpus - 1 helpers.
+
+    The first chunk runs here before any helper starts, so a law builds
+    what it makes on its first draw (a table law's guide table) once, on
+    this thread. A helper's malloc arena would keep the pages of those
+    arrays after the helper ends: about 5 MB per arena against 2 MB for
+    chunk arrays alone, after a pass of the benchmark's CLI calls. The rest
+    go to this thread and the helpers, each taking the next chunk index from
+    one shared iterator; an idle caller would add one more arena for
+    nothing. After an exception in any chunk, no thread starts another, and
+    the exception is raised here once the helpers are joined.
+    """
+    results = [job(0)]
+    workers = min(_usable_cpus(), chunks - 1)
+    if workers <= 1:
+        return results + [job(j) for j in range(1, chunks)]
+    results += [None] * (chunks - 1)
+    indices = iter(range(1, chunks))
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def work():
+        while not failed.is_set():
+            with lock:
+                j = next(indices, None)
+            if j is None:
+                return
+            try:
+                results[j] = job(j)
+            except BaseException:
+                failed.set()
+                raise
+
+    # leaving the block joins the helpers, also when this thread's chunk raised
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(workers - 1)]
+        work()
+        for helper in helpers:
+            helper.result()
+    return results
+
+
 def estimate_expected_min(
     dist: DemandDistribution, v: float, samples: int, seed: int = DEFAULT_SEED, group: int = 0
 ) -> McEstimate:
@@ -63,6 +123,11 @@ def estimate_expected_min(
     so no bit moves wherever the raw squares were in range. Raises
     ValueError when the draws overflow, so that the sum or the sum of
     squares is not finite.
+
+    The first chunk runs on this thread, and the rest there and on up to
+    cpus - 1 helper threads. Their sums are added in chunk order, so the
+    estimate has the same bits for any thread count. Each helper holds
+    about one chunk's arrays.
     """
     samples = check_samples(samples)
     seed = check_seed(seed)
@@ -71,20 +136,19 @@ def estimate_expected_min(
         raise ValueError(f"resource level must be a finite nonnegative real, got {v!r}")
     exp = max(math.frexp(dist.shortfall_bound(v))[1], sys.float_info.min_exp)
     scale = math.ldexp(1.0, -exp)
+
+    def chunk_sums(j):
+        count = min(CHUNK_SIZE, samples - j * CHUNK_SIZE)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(group, j)))
+        clipped = np.minimum(dist.sample(rng, count), v)
+        np.multiply(clipped, scale, out=clipped)
+        return float(clipped.sum()), float(np.multiply(clipped, clipped, out=clipped).sum())
+
     total = 0.0
     total_sq = 0.0
-    done = 0
-    chunk_index = 0
-    buffer = np.empty(min(CHUNK_SIZE, samples))
-    while done < samples:
-        count = min(CHUNK_SIZE, samples - done)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(group, chunk_index)))
-        clipped = np.minimum(dist.sample(rng, count), v, out=buffer[:count])
-        np.multiply(clipped, scale, out=clipped)
-        total += float(clipped.sum())
-        total_sq += float(np.multiply(clipped, clipped, out=clipped).sum())
-        done += count
-        chunk_index += 1
+    for s, sq in _run_chunks(chunk_sums, -(-samples // CHUNK_SIZE)):
+        total += s
+        total_sq += sq
     if not (math.isfinite(total) and math.isfinite(total_sq)):
         raise ValueError(
             f"Monte Carlo draws of min(C, {v!r}) overflow: their scaled sum is {total!r} "

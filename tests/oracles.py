@@ -288,6 +288,22 @@ def water_fill_full_loop(curves, budget, lo, hi, steps, tol):
     return v, (s_lo, s_hi)
 
 
+def guide_table_by_search(cdf, values):
+    """A guide table's ``(guide, single)`` by binary search over its 2**j bucket edges.
+
+    ``first[b]`` counts the cdf points <= b / 2**j and ``inside[b]`` those
+    strictly between b / 2**j and (b + 1) / 2**j. guide[b] is the value at
+    first[b] where no point is inside, else NaN; single[b] is first[b]
+    where exactly one point is inside, else -1.
+    """
+    buckets = 1 << (cdf.size.bit_length() + 4)
+    edges = np.arange(buckets + 1) / buckets
+    first = cdf.searchsorted(edges[:-1], side="right")
+    inside = cdf.searchsorted(edges[1:], side="left") - first
+    guide = np.where(inside > 0, np.nan, values[first])
+    return guide, np.where(inside == 1, first, -1)
+
+
 def mc_report_reference(scenario, values, samples, seed, chunk_size):
     """``estimate_report(...).to_dict()`` by a plain loop over the chunks.
 

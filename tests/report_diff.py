@@ -1,6 +1,8 @@
-"""Numeric diff of the golden reports against a committed revision.
+"""Numeric diff of the golden reports against a committed revision, or of the
+benchmark's reference utilizations against the recorded ones.
 
     python tests/report_diff.py [REV]
+    python tests/report_diff.py --references
 
 For every report under ``tests/golden/reports`` whose bytes differ from
 REV's (default HEAD, read with ``git show``), prints the largest relative
@@ -8,20 +10,31 @@ change in any number, with its JSON path or CSV cell, and flags every change
 that is not numeric: a key, a string, a count (list length or CSV row
 count), a type, a CSV header, or a report added or removed. It reads only;
 byte-exact comparison (``test_golden_reports.py``) stays the gate.
+
+With ``--references`` it solves every reference task of both benchmark
+workloads over the whole seed pool, as ``bench/record_references.py`` does,
+and compares [max-utilization U, alpha-fair U] with ``bench/references.json``.
+Per workload it prints the tasks checked, the tasks whose U moved, and each
+U's largest relative change with its task, and flags a task with no
+reference. The ``bench/`` modules are run from their text, so no bytecode is
+written beside them.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import pathlib
 import subprocess
 import sys
+import types
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 REPORTS = "tests/golden/reports"
+BENCH = ROOT / "bench"
 
 
 def _is_number(value) -> bool:
@@ -139,13 +152,82 @@ def report_lines(old: dict, new: dict) -> list:
     return lines
 
 
+def _bench_module(name: str) -> types.ModuleType:
+    """bench/<name>.py, run from its text so that no bytecode is written beside it."""
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module  # dataclasses look up their module
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def reference_values(text: str, alpha) -> list:
+    """[max-utilization U, alpha-fair U] of one task, as bench/record_references.py records them."""
+    import fairalloc
+
+    result = fairalloc.pof(fairalloc.load_scenario_file(text).scenario, alpha)
+    return [result.unconstrained_utilization, result.constrained_utilization]
+
+
+def reference_tasks(seeds):
+    """(workload, task, reference key, scenario text, alpha) for every reference
+    task of both workloads over ``seeds``, as bench/record_references.py picks them."""
+    checks = _bench_module("checks")
+    workloads = _bench_module("workloads")
+    for name in workloads.GENERATORS:
+        for seed in seeds:
+            workload = workloads.build(name, seed)
+            for task in sorted(workload.tasks, key=lambda task: task.id):
+                if task.kind == "cli" and task.command not in ("optimize", "pof"):
+                    continue
+                text = workload.files[task.file]
+                yield (name, f"seed {seed} {task.id}", checks.reference_key(text, task.alpha),
+                       text, task.alpha)
+
+
+def reference_lines(seeds, reference_file=None) -> list:
+    """The lines printed for the reference tasks of ``seeds``, against
+    ``reference_file`` (default the benchmark's own table)."""
+    path = _bench_module("checks").REFERENCE_FILE if reference_file is None else reference_file
+    references = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))["values"]
+    lines = []
+    for name, tasks in itertools.groupby(reference_tasks(seeds), key=lambda task: task[0]):
+        diffs = {"max-utilization U": Diff(), "alpha-fair U": Diff()}
+        missing = []
+        checked = moved = 0
+        for _, where, key, text, alpha in tasks:
+            old = references.get(key)
+            if old is None:
+                missing.append(where)
+                continue
+            new = reference_values(text, alpha)
+            checked += 1
+            moved += old != new
+            for diff, a, b in zip(diffs.values(), old, new):
+                diff.number(where, a, b)
+        lines.append(f"{name}: {checked} reference tasks checked, {moved} moved")
+        for label, diff in diffs.items():
+            change, where, a, b = diff.largest
+            lines.append(f"  {label}: no change" if where is None else
+                         f"  {label}: largest relative change {change:.3g} at {where} ({a!r} -> {b!r})")
+        lines += [f"  no reference for {where}" for where in missing]
+    return lines
+
+
 def _git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout
 
 
 def main(argv) -> int:
+    if argv == ["--references"]:
+        sys.path.insert(0, str(ROOT / "src"))
+        seed_pool = _bench_module("workloads").SEED_POOL
+        print("\n".join(reference_lines(range(seed_pool))))
+        return 0
     if len(argv) > 1 or (argv and argv[0].startswith("-")):
-        print(f"usage: python {sys.argv[0]} [REV]  (default HEAD; reads only)", file=sys.stderr)
+        print(f"usage: python {sys.argv[0]} [REV | --references]  (default HEAD; reads only)",
+              file=sys.stderr)
         return 2
     rev = argv[0] if argv else "HEAD"
     names = _git("ls-tree", "--name-only", f"{rev}:{REPORTS}").split()

@@ -540,6 +540,41 @@ def test_guide_table_draws_at_bucket_edges_and_cdf_points_invert_the_cdf():
     assert kinds == {"none", "one", "several"}
 
 
+@st.composite
+def guide_table_cdfs(draw):
+    """A nondecreasing cdf ending at 1, with repeated points (zero-probability
+    atoms), points on bucket edges, subnormal points and uniform ones."""
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    buckets = 1 << ((n + 1).bit_length() + 4)
+    mix = rng.dirichlet(np.ones(4) * draw(st.sampled_from((0.2, 1.0))))
+    kind = rng.choice(4, n, p=mix)
+    points = np.select(
+        [kind == 0, kind == 1, kind == 2],
+        [rng.integers(0, buckets, n) / buckets,
+         rng.integers(0, 1000, n) * 5e-324,
+         np.repeat(rng.random(1), n)],
+        rng.random(n),
+    )
+    return np.append(np.sort(points), 1.0)
+
+
+@given(guide_table_cdfs())
+@example(np.array([0.0, 0.0, 5e-324, 0.25, 0.25, 0.5, 1.0]))
+def test_guide_tables_equal_the_search_over_bucket_edges(cdf):
+    table = distributions._GuideTable(cdf, np.arange(cdf.size, dtype=float))
+    guide, single = oracles.guide_table_by_search(table.cdf, table.values)
+    assert np.array_equal(table.guide, guide, equal_nan=True)
+    assert np.array_equal(table.single, single)
+
+
+def test_law_guide_tables_equal_the_search_over_bucket_edges():
+    for dist in GUIDE_TABLE_LAWS + [Empirical(tuple(range(4000)), (1 / 4000,) * 4000)]:
+        guide, single = oracles.guide_table_by_search(dist._table.cdf, dist._table.values)
+        assert np.array_equal(dist._table.guide, guide, equal_nan=True)
+        assert np.array_equal(dist._table.single, single)
+
+
 BIT_GENERATORS = (np.random.MT19937, np.random.PCG64, np.random.Philox, np.random.SFC64)
 
 
@@ -750,6 +785,21 @@ def test_empirical_merge_sums_repeated_atoms_in_input_order(atoms):
     assert repr(dist.values) == repr(tuple(sorted(merged)))
     assert repr(dist.probabilities) == repr(tuple(merged[x] for x in sorted(merged)))
     assert all(type(x) is float for x in dist.values + dist.probabilities)
+
+
+@given(strategies.large_empiricals())
+@example(Empirical((-0.0, 2.0, 0.0, 2.0), (0.25, 0.25, 0.25, 0.25)))
+def test_empirical_atom_arrays_are_those_of_its_tuples(dist):
+    # the atom arrays are built from the sorted, merged arrays, not from the
+    # tuples; they must hold the same bits as arrays made from the tuples
+    probs = np.asarray(dist.probabilities)
+    suffix = np.concatenate((np.cumsum(probs[::-1])[::-1], [0.0]))
+    suffix[0] = 1.0
+    for name, want in (("_vals", np.asarray(dist.values, dtype=float)),
+                       ("_cum", np.cumsum(probs)), ("_suffix", suffix)):
+        got = getattr(dist, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert dist._points is dist.values
 
 
 def test_mass_below_zero():

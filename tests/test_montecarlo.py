@@ -1,8 +1,15 @@
+import itertools
 import math
+import multiprocessing
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import ClassVar
 
+import numpy as np
 import pytest
 
+from fairalloc import montecarlo
 from fairalloc.allocation import mean_weighted
 from fairalloc.distributions import (
     Binomial, Constant, Empirical, Exponential, Normal, Poisson, TwoPoint,
@@ -139,12 +146,15 @@ def test_report_binomial_single_group():
 
 
 class _StreamLog(Constant):
-    """A constant law that logs the state of every generator it draws from."""
+    """A constant law that logs the state of every generator it draws from,
+    and the thread that draws."""
 
     states: ClassVar[list] = []
+    threads: ClassVar[list] = []
 
     def sample(self, rng, size=None):
         self.states.append(rng.bit_generator.state["state"]["state"])
+        self.threads.append(threading.get_ident())
         return super().sample(rng, size)
 
 
@@ -189,25 +199,143 @@ def test_report_to_dict_round_trip_fields():
     assert payload["groups"][0]["expected_min"]["samples"] == 1000
 
 
-@pytest.mark.parametrize(
-    "dists",
-    [
-        (Constant(30.0), Constant(50.0)),
-        (TwoPoint(10.0), TwoPoint(4.0)),
-        (Binomial(100, 0.3), Binomial(60, 0.5)),
-        (Poisson(40.0), Poisson(25.0)),
-        (Normal(100.0, 10.0), Normal(50.0, 12.0)),
-        (Exponential(12.0), Exponential(30.0)),
-        (Empirical((0.0, 3.0, 7.5, 20.0), (0.1, 0.4, 0.3, 0.2)), Empirical((1.0, 9.0), (0.5, 0.5))),
-    ],
-    ids=lambda dists: dists[0].kind,
-)
+FAMILY_PAIRS = [
+    (Constant(30.0), Constant(50.0)),
+    (TwoPoint(10.0), TwoPoint(4.0)),
+    (Binomial(100, 0.3), Binomial(60, 0.5)),
+    (Poisson(40.0), Poisson(25.0)),
+    (Normal(100.0, 10.0), Normal(50.0, 12.0)),
+    (Exponential(12.0), Exponential(30.0)),
+    (Empirical((0.0, 3.0, 7.5, 20.0), (0.1, 0.4, 0.3, 0.2)), Empirical((1.0, 9.0), (0.5, 0.5))),
+]
+
+
+def _pair_scenario(dists):
+    groups = (Group("a", dists[0]), Group("b", dists[1]))
+    sc = Scenario(resource=0.9 * sum(d.mean() for d in dists), groups=groups)
+    return sc, mean_weighted(sc)
+
+
+@pytest.mark.parametrize("dists", FAMILY_PAIRS, ids=lambda dists: dists[0].kind)
 def test_report_over_several_chunks_matches_a_plain_chunk_loop(dists):
     # 3 full chunks and a partial one per group: pins the chunk streams and the
     # order in which chunk sums are combined, which one-chunk reports do not
     samples = 3 * CHUNK_SIZE + 333
-    groups = (Group("a", dists[0]), Group("b", dists[1]))
-    sc = Scenario(resource=0.9 * sum(d.mean() for d in dists), groups=groups)
-    alloc = mean_weighted(sc)
+    sc, alloc = _pair_scenario(dists)
     report = estimate_report(sc, alloc, samples, seed=5)
     assert report.to_dict() == mc_report_reference(sc, alloc.values, samples, 5, CHUNK_SIZE)
+
+
+def _use_cpus(monkeypatch, cpus):
+    """Make the estimators see ``cpus`` usable CPUs; returns the list of the
+    helper counts of the thread pools they make."""
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    return pools
+
+
+CPU_COUNTS = (1, 2, 3, 8)
+EMPIRICAL_4000 = Empirical(tuple(np.linspace(0.0, 400.0, 4000).tolist()),
+                           tuple((np.arange(1.0, 4001.0) / 8_002_000.0).tolist()))
+
+
+@pytest.mark.parametrize("cpus", CPU_COUNTS)
+@pytest.mark.parametrize("dists", FAMILY_PAIRS + [(EMPIRICAL_4000, Poisson(25.0))],
+                         ids=[dists[0].kind for dists in FAMILY_PAIRS] + ["empirical4000"])
+def test_every_worker_count_gives_the_plain_chunk_loop_bits(monkeypatch, cpus, dists):
+    pools = _use_cpus(monkeypatch, cpus)
+    sc, alloc = _pair_scenario(dists)
+    threads = threading.active_count()
+    # 4 chunks per group, then one partial chunk, which runs on this thread
+    # alone; the first chunk runs before the helpers start, so 3 are shared
+    for samples, chunks in ((3 * CHUNK_SIZE + 333, 4), (CHUNK_SIZE - 1, 1)):
+        pools.clear()
+        want = mc_report_reference(sc, alloc.values, samples, 5, CHUNK_SIZE)
+        assert estimate_report(sc, alloc, samples, seed=5).to_dict() == want
+        assert threading.active_count() == threads
+        for index, (group, v) in enumerate(zip(sc.groups, alloc.values)):
+            est = estimate_expected_min(group.dist, v, samples, 5, index)
+            assert est.to_dict() == want["groups"][index]["expected_min"]
+            assert threading.active_count() == threads
+        helpers = min(cpus, chunks - 1) - 1
+        assert pools == ([helpers] * 4 if helpers > 0 else [])
+
+
+def test_eight_workers_on_a_fast_switch_draw_each_chunk_once(monkeypatch):
+    # more threads than cores, switching every microsecond: a chunk taken
+    # twice or lost would show as a repeated or missing stream
+    _use_cpus(monkeypatch, 8)
+    chunks = 16
+    _StreamLog.states = []
+    _StreamLog.threads = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        est = estimate_expected_min(_StreamLog(10.0), 7.0, chunks * CHUNK_SIZE, seed=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(_StreamLog.states) == len(set(_StreamLog.states)) == chunks
+    assert est.value == 7.0 and est.standard_error == 0.0
+    # the first draw, which builds a table law's guide table, is this thread's
+    assert _StreamLog.threads[0] == threading.get_ident()
+    assert len(set(_StreamLog.threads)) > 1
+
+
+class _FailingLaw(Constant):
+    """A constant law whose second draw raises, and keeps the exception."""
+
+    calls: ClassVar = itertools.count()
+    raised: ClassVar[list] = []
+
+    def sample(self, rng, size=None):
+        if next(self.calls) == 1:
+            error = RuntimeError("second draw failed")
+            self.raised.append(error)
+            raise error
+        return super().sample(rng, size)
+
+
+@pytest.mark.parametrize("cpus", CPU_COUNTS)
+def test_a_failing_chunk_raises_in_the_caller_and_no_chunk_starts_after_it(monkeypatch, cpus):
+    _use_cpus(monkeypatch, cpus)
+    _FailingLaw.calls = itertools.count()
+    _FailingLaw.raised = []
+    threads = threading.active_count()
+    chunks = 40
+    with pytest.raises(RuntimeError) as caught:
+        estimate_expected_min(_FailingLaw(10.0), 10.0, chunks * CHUNK_SIZE, seed=3)
+    assert _FailingLaw.raised == [caught.value]
+    assert threading.active_count() == threads
+    # each other thread may finish its chunk in flight, and may have taken one
+    # more in the moment before the failure is marked
+    assert next(_FailingLaw.calls) <= 2 * min(cpus, chunks)
+
+
+def _estimate_in_child(conn, dist, v, samples):
+    conn.send(estimate_expected_min(dist, v, samples, seed=9))
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_a_child_forked_after_an_estimate_gets_the_same_estimate(monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    dist, v, samples = Poisson(40.0), 35.0, 3 * CHUNK_SIZE + 333
+    parent = estimate_expected_min(dist, v, samples, seed=9)
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_estimate_in_child, args=(send, dist, v, samples))
+    child.start()
+    try:
+        assert receive.poll(60), "the forked child sent no estimate"
+        assert receive.recv() == parent
+    finally:
+        child.join(60)
+    assert child.exitcode == 0

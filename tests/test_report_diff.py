@@ -75,3 +75,33 @@ def test_report_lines_name_only_the_reports_that_moved():
         "new.json: added",
         "3 of 4 reports changed",
     ]
+
+
+def test_references_are_checked_per_workload_and_a_moved_one_is_named(tmp_path):
+    tasks = list(report_diff.reference_tasks([0]))
+    assert {name for name, *_ in tasks} == {"pof_narrow", "cli_reports"}
+    # the benchmark's own table has a reference for every task of the seed
+    real = report_diff.reference_lines([0])
+    assert real[0].startswith("pof_narrow: 102 reference tasks checked, ")
+    assert real[3].startswith("cli_reports: 4 reference tasks checked, ")
+    assert not any("no reference" in line for line in real)
+    # a table recorded from this code moves nothing; one perturbed U is named
+    values = {key: report_diff.reference_values(text, alpha) for _, _, key, text, alpha in tasks}
+    table = tmp_path / "references.json"
+    table.write_text(json.dumps({"values": values}), encoding="utf-8")
+    assert report_diff.reference_lines([0], table) == [
+        "pof_narrow: 102 reference tasks checked, 0 moved",
+        "  max-utilization U: no change",
+        "  alpha-fair U: no change",
+        "cli_reports: 4 reference tasks checked, 0 moved",
+        "  max-utilization U: no change",
+        "  alpha-fair U: no change",
+    ]
+    name, where, key, _, _ = tasks[0]
+    values[key][1] *= 1.0 + 1e-9
+    del values[tasks[1][2]]
+    table.write_text(json.dumps({"values": values}), encoding="utf-8")
+    lines = report_diff.reference_lines([0], table)
+    assert lines[:2] == ["pof_narrow: 101 reference tasks checked, 1 moved", "  max-utilization U: no change"]
+    assert lines[2].startswith(f"  alpha-fair U: largest relative change 1e-09 at {where} (")
+    assert lines[3:5] == [f"  no reference for {tasks[1][1]}", "cli_reports: 4 reference tasks checked, 0 moved"]
