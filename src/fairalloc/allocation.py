@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -25,7 +26,7 @@ from . import certificates, metrics
 from .distributions import DemandDistribution
 from .metrics import Allocation, Scenario
 
-BISECTION_STEPS = 60  # water-fill halvings; Newton steps, then at most as many halvings, per crossing
+BISECTION_STEPS = 60  # Newton steps per crossing before it only halves
 
 
 class OptimizerError(RuntimeError):
@@ -113,11 +114,13 @@ def _crossing(gap, slope, strict, a, b, x, fx):
     of the crossing it lands on. A step that rounds onto x probes the
     adjacent double towards the other end instead. A step that leaves the
     bracket, or that has no finite positive slope, halves the bracket
-    instead, and so does every later step. Stops once no double lies
-    between the ends, or after 2 * BISECTION_STEPS steps, as rtsafe does
-    (Press et al., Numerical Recipes, section 9.4).
+    instead, and so does every later step, as rtsafe does (Press et al.,
+    Numerical Recipes, section 9.4). Stops once no double lies between the
+    ends. Each halving halves the bracket and doubles lie at least 2**-1074
+    apart, so that takes at most about BISECTION_STEPS + 1,075 + log2(b - a)
+    steps.
     """
-    for step in range(2 * BISECTION_STEPS):
+    for step in itertools.count():
         m = 0.5 * (a + b)
         if m == a or m == b:
             break
@@ -138,8 +141,10 @@ def _crossing(gap, slope, strict, a, b, x, fx):
 class _Curve:
     """Fast exact evaluator of one group's E[min(C, v)] on [0, cap].
 
-    Subclasses give em, cdf, sf (the survival right of v), quantile and the
-    box inverses' searches _lowest and _highest; _curve picks the subclass.
+    Subclasses give em, cdf, sf (the survival right of v), _stretch (the
+    quantile at a cdf level s with the stretch of levels it holds on) and
+    the box inverses' searches _lowest and _highest; _curve picks the
+    subclass.
     """
 
     def __init__(self, dist: DemandDistribution, cap: float):
@@ -156,39 +161,27 @@ class _Curve:
         return self.mu / sf if sf > 0.0 else math.inf
 
     def box_fill(self, lo: float, hi: float):
-        """(fill, span): the water level at cdf-level s, clipped into [lo, hi],
-        as a function of s, and span(s) = (a, b), the cdf levels around s,
-        0 < s < 1, on whose (a, b] the fill is constant.
+        """fill(s) = (v, a, b) for 0 < s < 1: the water level v at cdf level s,
+        clipped into [lo, hi], and the stretch (a, b] of levels around s on
+        which it is constant.
 
         The cdf levels of the two box ends are read once here, not on every
-        bisection step. Bisecting the cdf level rather than the survival level
-        keeps deep lower-tail levels representable (1 - s underflows to 1 there).
+        water-fill step. Searching the cdf level rather than the survival
+        level keeps deep lower-tail levels representable (1 - s underflows to
+        1 there).
         """
         cdf_lo, cdf_hi = self.cdf(lo), self.cdf(hi)
-        quantile = self.quantile
+        stretch = self._stretch
 
-        def fill(s: float) -> float:
-            if s <= 0.0:
-                return lo
-            if s >= 1.0:
-                return hi
+        def fill(s: float):
             if cdf_hi < s:
-                return hi
+                return hi, cdf_hi, 1.0
             if cdf_lo >= s:
-                return lo
-            return min(hi, max(lo, quantile(s)))
+                return lo, 0.0, cdf_lo
+            v, a, b = stretch(s)
+            return min(hi, max(lo, v)), a, b
 
-        def span(s: float):
-            if cdf_hi < s:
-                return cdf_hi, 1.0
-            if cdf_lo >= s:
-                return 0.0, cdf_lo
-            return self._quantile_span(s)
-
-        return fill, span
-
-    def _quantile_span(self, s: float):
-        return s, s  # a smooth quantile moves with s
+        return fill
 
     def lowest_v_with_q_at_least(self, target: float) -> float:
         """Smallest v in [0, cap] with q(v) >= target, or inf if unreachable."""
@@ -227,14 +220,12 @@ class _KnotCurve(_Curve):
     def sf(self, v: float) -> float:
         return self.sfs[bisect.bisect_right(self.xs, v) - 1]
 
-    def quantile(self, s: float) -> float:
-        idx = bisect.bisect_left(self.cdfs, s)
-        return self.xs[idx] if idx < len(self.xs) else self.cap
-
-    def _quantile_span(self, s: float):
+    def _stretch(self, s: float):
+        # box_fill asks only for cdf(lo) < s <= cdf(hi), with 0 <= lo and
+        # cdfs[0] = cdf(0), so the knot lies past the first and in the table
         cdfs = self.cdfs
         idx = bisect.bisect_left(cdfs, s)
-        return cdfs[idx - 1] if idx > 0 else 0.0, cdfs[idx] if idx < len(cdfs) else 1.0
+        return self.xs[idx], cdfs[idx - 1], cdfs[idx]
 
     def _lowest(self, t: float) -> float:
         ems = self.ems
@@ -273,9 +264,11 @@ class _SmoothCurve(_Curve):
 
     def __init__(self, dist: DemandDistribution, cap: float):
         self.em, self.cdf, self.sf = dist._expected_min, dist.cdf, dist.survival
-        self.quantile = dist._quantile  # box_fill calls it only for 0 < s < 1
         self._last = [0.0, 0.0]  # the last low (index 0) and high (index 1) crossing
         super().__init__(dist, cap)
+
+    def _stretch(self, s: float):
+        return self.dist._quantile(s), s, s  # a smooth quantile moves with s
 
     def _newton(self, t: float, strict: bool) -> float:
         """The crossing of em(v) = t on a smooth law: the b end below, the a end if strict.
@@ -328,29 +321,31 @@ def _curve(dist: DemandDistribution, cap: float) -> _Curve:
 def _water_fill(curves, budget, lo, hi):
     """Maximize sum of E[min(C_i, v_i)] s.t. sum v = budget, lo <= v <= hi.
 
-    Bisects a common cdf level in [0, 1] until the levels sum to the budget
-    within tol = metrics.resource_tol(budget), the bracket cannot shrink or
-    BISECTION_STEPS halvings have run. Any residual sitting on a survival
-    step is assigned greedily by ascending group index (utilization-equivalent
-    on the flat segment).
+    Searches a common cdf level s in [0, 1] until the fills sum to the budget
+    within tol = metrics.resource_tol(budget), or until no double lies
+    between the bracket's ends. Any residual sitting on a survival step is
+    assigned greedily by ascending group index (utilization-equivalent on
+    the flat segment). The dust of fills that meet the budget within tol
+    goes first to the groups whose fill moves with s, and stays inside the
+    boxes where it can.
 
-    Each fill is constant on a stretch (a, b] of levels around s, its span:
-    between adjacent knot cdf levels, or past the cdf level of a box end.
-    When every curve has knots, the fills at s_lo hold up to top, their least
-    span end, and those at s_hi down from bottom, their greatest span start
-    (at s = 0 and s = 1, lo and hi, at that level only). Once top == bottom,
-    every later midpoint would repeat an end's allocation, so the loop stops
-    with the result of running on, on the bracket (L, the next double) at
-    the step L = top, or at the double below 1 where the fills step at s = 1
-    itself. The s = 1 end needs hi to sum above the budget: a loop whose s_hi
-    stays at 1 evaluates hi at the stuck midpoint s = 1.
+    Each probe is the bracket's midpoint, and gives every fill with the
+    stretch (a, b] of levels around it on which that fill is constant:
+    between adjacent knot cdf levels, past the cdf level of a box end, or s
+    alone for a smooth fill inside its box. The bracket's end then moves to
+    the edge of the shared stretch, as in water-filling over piecewise-
+    constant fills (Palomar & Fonollosa, IEEE TSP 2005): a probe below the
+    budget moves s_lo up to the least stretch end, and one above it moves
+    s_hi down to the double past the greatest stretch start. So each probe
+    at least halves the bracket, and since doubles in [0, 1] lie at least
+    2**-1074 apart, the loop ends within about 1,075 probes. The level 1 is
+    never probed: it fills hi, whose sum is checked against the budget once
+    the bracket is final.
 
     Returns (v, price): the allocation and the budget price 1 - s, with s the
-    midpoint of the final bracket: the level the loop stopped on, the knot
-    stop's L, or after BISECTION_STEPS halvings one within 2**-60 of both
-    ends. Fills that meet the budget only within tol are priced at the end
-    of their spans' shared stretch where they cross it: its start above the
-    budget, its end below.
+    midpoint of the final bracket. Fills that meet the budget only within tol
+    are priced at the end of their shared stretch where they cross it: its
+    start above the budget, its end below.
     """
     tol = metrics.resource_tol(budget)
     feas_tol = metrics.BUDGET_TOL * budget
@@ -360,50 +355,36 @@ def _water_fill(curves, budget, lo, hi):
             f"box constraints cannot meet the budget: sum lo {sum_lo!r}, "
             f"sum hi {sum_hi!r}, budget {budget!r}"
         )
-    fills, spans = zip(*(c.box_fill(a, b) for c, a, b in zip(curves, lo, hi)))
-    # A smooth fill inside its box moves with s (its span is s alone).
-    # Tracking stretches on fills with a smooth curve too changed no output
-    # on pof_narrow seeds 0-39 but took about 7% more pof CPU time (min of
-    # 15 runs on seeds 0-9, 2-CPU host: 1.20 s against 1.12 s).
-    knots = all(isinstance(c, _KnotCurve) for c in curves)
+    fills = [c.box_fill(a, b) for c, a, b in zip(curves, lo, hi)]
     s_lo, s_hi = 0.0, 1.0
-    v_low, v_high = list(lo), list(hi)  # the fills at s_lo and s_hi
-    top, bottom = 0.0, 1.0  # the fills are v_low up to top and v_high down from bottom
-    for steps in range(1, BISECTION_STEPS + 1):
+    v_low, v_high = lo, hi  # the fills at s_lo and s_hi
+    moving = []  # the groups whose fill moves with s where the fills met the budget
+    while True:
         s_mid = 0.5 * (s_lo + s_hi)
-        # Once the midpoint rounds to an end, no double lies strictly between
-        # the ends: this step re-evaluates that end and every later step would
-        # repeat it. The step still runs because the s = 1.0 end (hi) has not
-        # been checked against the budget yet.
-        stuck = s_mid == s_lo or s_mid == s_hi
-        v_mid = [fill(s_mid) for fill in fills]
+        if s_mid == s_lo or s_mid == s_hi:
+            if s_hi == 1.0 and sum_hi <= budget + tol:
+                v_low = hi
+            break
+        v_mid, starts, ends = zip(*[fill(s_mid) for fill in fills])
         total = sum(v_mid)
         if abs(total - budget) <= tol:
             v_low = v_mid
+            moving = [i for i, (a, b) in enumerate(zip(starts, ends)) if a == b]
             if total != budget:
-                ends = [span(s_mid) for span in spans]
-                level = max(a for a, _ in ends) if total > budget else min(b for _, b in ends)
+                level = max(starts) if total > budget else min(ends)
                 if level != s_mid:
                     s_lo, s_hi = level, math.nextafter(level, 1.0)
             break
         if total < budget:
-            s_lo, v_low = s_mid, v_mid
-            if knots:
-                top = min(span(s_mid)[1] for span in spans)
+            s_lo, v_low = min(math.nextafter(1.0, 0.0), *ends), v_mid
         else:
-            s_hi, v_high = s_mid, v_mid
-            if knots:
-                bottom = max(span(s_mid)[0] for span in spans)
-        if stuck:
-            break
-        if top == bottom and (s_hi < 1.0 or sum_hi > budget + tol):
-            s_lo = min(top, math.nextafter(1.0, 0.0))
-            s_hi = math.nextafter(s_lo, 1.0)
-            break
+            s_hi, v_high = min(s_mid, math.nextafter(max(starts), 1.0)), v_mid
     v = list(v_low)
+    # the groups whose fill moves with s first, since their marginal is the price
+    order = [*moving, *range(len(v))]
     residual = budget - sum(v)
     if residual > 0.0:
-        for i in range(len(v)):
+        for i in order:
             head = v_high[i] - v[i]
             if head <= 0.0:
                 continue
@@ -413,19 +394,18 @@ def _water_fill(curves, budget, lo, hi):
             if residual <= 0.0:
                 break
     remaining = budget - sum(v)
-    if remaining != 0.0:
-        # signed dust: spread by index, allowing a box overstep of tol but
-        # never a negative allocation
-        for i in range(len(v)):
+    # signed dust: spread in that order, inside the boxes first, then allowing
+    # a box overstep of tol but never a negative allocation
+    for slack in (0.0, tol):
+        for i in order:
             if remaining == 0.0:
                 break
-            moved = min(max(v[i] + remaining, max(lo[i] - tol, 0.0)), hi[i] + tol)
+            moved = min(max(v[i] + remaining, max(lo[i] - slack, 0.0)), hi[i] + slack)
             remaining -= moved - v[i]
             v[i] = moved
     if abs(sum(v) - budget) > feas_tol:
         raise ConvergenceError(
-            f"water-filling missed the budget by {sum(v) - budget!r} "
-            f"after {steps} bisection steps"
+            f"water-filling missed the budget by {sum(v) - budget!r}"
         )
     return v, 1.0 - 0.5 * (s_lo + s_hi)
 

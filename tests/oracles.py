@@ -241,20 +241,24 @@ def golden_search(score, a, b):
             fd = score(d)
 
 
-def water_fill_full_loop(curves, budget, lo, hi, steps, tol):
-    """The clamped water-fill with no early stop: every cdf-level halving runs.
+def water_fill_full_loop(curves, budget, lo, hi, tol):
+    """The clamped water-fill by plain halving, with no jump over a stretch.
 
-    Uses each curve's ``box_fill`` and assigns the residual exactly as the
-    library does, so only the stopping rule differs from ``_water_fill``.
+    Halves the cdf level from [0, 1] until the fills meet the budget within
+    tol or no double lies between the ends, then evaluates that end (hi at
+    level 1). Uses each curve's ``box_fill`` for the fill values only, and
+    assigns the residual and the dust as the library does for knot fills, in
+    index order, so only the moves of the bracket differ from ``_water_fill``
+    there.
     Returns (v, (s_lo, s_hi)): the allocation and the final bracket.
     """
-    fills = [c.box_fill(a, b)[0] for c, a, b in zip(curves, lo, hi)]
+    fills = [c.box_fill(a, b) for c, a, b in zip(curves, lo, hi)]
     s_lo, s_hi = 0.0, 1.0
     v_low, v_high = list(lo), list(hi)
-    for _ in range(steps):
+    while True:
         s_mid = 0.5 * (s_lo + s_hi)
         stuck = s_mid == s_lo or s_mid == s_hi
-        v_mid = [fill(s_mid) for fill in fills]
+        v_mid = list(hi) if s_mid == 1.0 else [fill(s_mid)[0] for fill in fills]
         total = sum(v_mid)
         if abs(total - budget) <= tol:
             v_low = v_mid
@@ -278,11 +282,11 @@ def water_fill_full_loop(curves, budget, lo, hi, steps, tol):
             if residual <= 0.0:
                 break
     remaining = budget - sum(v)
-    if remaining != 0.0:
+    for slack in (0.0, tol):
         for i in range(len(v)):
             if remaining == 0.0:
                 break
-            moved = min(max(v[i] + remaining, max(lo[i] - tol, 0.0)), hi[i] + tol)
+            moved = min(max(v[i] + remaining, max(lo[i] - slack, 0.0)), hi[i] + slack)
             remaining -= moved - v[i]
             v[i] = moved
     return v, (s_lo, s_hi)

@@ -14,10 +14,11 @@ byte-exact comparison (``test_golden_reports.py``) stays the gate.
 With ``--references`` it solves every reference task of both benchmark
 workloads over the whole seed pool, as ``bench/record_references.py`` does,
 and compares [max-utilization U, alpha-fair U] with ``bench/references.json``.
-Per workload it prints the tasks checked, the tasks whose U moved, and each
-U's largest relative change with its task, and flags a task with no
-reference. The ``bench/`` modules are run from their text, so no bytecode is
-written beside them.
+Per workload it prints the tasks checked, the tasks whose U moved, each
+U's largest relative change with its task, and how many tasks' U fell
+below the reference with the largest fall and its task, and flags a task
+with no reference. The ``bench/`` modules are run from their text, so no
+bytecode is written beside them.
 """
 
 from __future__ import annotations
@@ -51,14 +52,17 @@ def relative_change(old: float, new: float) -> float:
 
 
 class Diff:
-    """The largest relative change seen, where it was, and the non-numeric changes."""
+    """The largest relative change seen, where it was, how many numbers changed,
+    and the non-numeric changes."""
 
     def __init__(self):
         self.largest = (0.0, None, None, None)  # (change, where, old, new)
+        self.changed = 0
         self.flags = []
 
     def number(self, where: str, old, new) -> None:
         change = relative_change(float(old), float(new))
+        self.changed += change > 0.0
         if change > self.largest[0]:
             self.largest = (change, where, old, new)
 
@@ -193,7 +197,8 @@ def reference_lines(seeds, reference_file=None) -> list:
     references = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))["values"]
     lines = []
     for name, tasks in itertools.groupby(reference_tasks(seeds), key=lambda task: task[0]):
-        diffs = {"max-utilization U": Diff(), "alpha-fair U": Diff()}
+        changes = {"max-utilization U": Diff(), "alpha-fair U": Diff()}
+        falls = {label: Diff() for label in changes}  # the changes below the reference
         missing = []
         checked = moved = 0
         for _, where, key, text, alpha in tasks:
@@ -204,13 +209,20 @@ def reference_lines(seeds, reference_file=None) -> list:
             new = reference_values(text, alpha)
             checked += 1
             moved += old != new
-            for diff, a, b in zip(diffs.values(), old, new):
-                diff.number(where, a, b)
+            for label, a, b in zip(changes, old, new):
+                changes[label].number(where, a, b)
+                if b < a:
+                    falls[label].number(where, a, b)
         lines.append(f"{name}: {checked} reference tasks checked, {moved} moved")
-        for label, diff in diffs.items():
+        for label, diff in changes.items():
             change, where, a, b = diff.largest
             lines.append(f"  {label}: no change" if where is None else
                          f"  {label}: largest relative change {change:.3g} at {where} ({a!r} -> {b!r})")
+            fall = falls[label]
+            change, where, a, b = fall.largest
+            lines.append(f"  {label}: {fall.changed} fell" if where is None else
+                         f"  {label}: {fall.changed} fell, the most by {change:.3g} at {where} "
+                         f"({a!r} -> {b!r})")
         lines += [f"  no reference for {where}" for where in missing]
     return lines
 

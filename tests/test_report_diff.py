@@ -77,31 +77,59 @@ def test_report_lines_name_only_the_reports_that_moved():
     ]
 
 
+# the reference lines of seed 0 against a table recorded from this code
+UNMOVED = [
+    "pof_narrow: 102 reference tasks checked, 0 moved",
+    "  max-utilization U: no change",
+    "  max-utilization U: 0 fell",
+    "  alpha-fair U: no change",
+    "  alpha-fair U: 0 fell",
+    "cli_reports: 4 reference tasks checked, 0 moved",
+    "  max-utilization U: no change",
+    "  max-utilization U: 0 fell",
+    "  alpha-fair U: no change",
+    "  alpha-fair U: 0 fell",
+]
+
+
 def test_references_are_checked_per_workload_and_a_moved_one_is_named(tmp_path):
     tasks = list(report_diff.reference_tasks([0]))
     assert {name for name, *_ in tasks} == {"pof_narrow", "cli_reports"}
     # the benchmark's own table has a reference for every task of the seed
     real = report_diff.reference_lines([0])
     assert real[0].startswith("pof_narrow: 102 reference tasks checked, ")
-    assert real[3].startswith("cli_reports: 4 reference tasks checked, ")
+    assert real[5].startswith("cli_reports: 4 reference tasks checked, ")
     assert not any("no reference" in line for line in real)
     # a table recorded from this code moves nothing; one perturbed U is named
     values = {key: report_diff.reference_values(text, alpha) for _, _, key, text, alpha in tasks}
     table = tmp_path / "references.json"
     table.write_text(json.dumps({"values": values}), encoding="utf-8")
-    assert report_diff.reference_lines([0], table) == [
-        "pof_narrow: 102 reference tasks checked, 0 moved",
-        "  max-utilization U: no change",
-        "  alpha-fair U: no change",
-        "cli_reports: 4 reference tasks checked, 0 moved",
-        "  max-utilization U: no change",
-        "  alpha-fair U: no change",
-    ]
+    assert report_diff.reference_lines([0], table) == UNMOVED
     name, where, key, _, _ = tasks[0]
     values[key][1] *= 1.0 + 1e-9
     del values[tasks[1][2]]
     table.write_text(json.dumps({"values": values}), encoding="utf-8")
     lines = report_diff.reference_lines([0], table)
-    assert lines[:2] == ["pof_narrow: 101 reference tasks checked, 1 moved", "  max-utilization U: no change"]
-    assert lines[2].startswith(f"  alpha-fair U: largest relative change 1e-09 at {where} (")
-    assert lines[3:5] == [f"  no reference for {tasks[1][1]}", "cli_reports: 4 reference tasks checked, 0 moved"]
+    assert lines[:3] == ["pof_narrow: 101 reference tasks checked, 1 moved", "  max-utilization U: no change",
+                         "  max-utilization U: 0 fell"]
+    assert lines[3].startswith(f"  alpha-fair U: largest relative change 1e-09 at {where} (")
+    assert lines[4].startswith(f"  alpha-fair U: 1 fell, the most by 1e-09 at {where} (")
+    assert lines[5:7] == [f"  no reference for {tasks[1][1]}", "cli_reports: 4 reference tasks checked, 0 moved"]
+
+
+def test_references_count_the_tasks_whose_u_fell_below_its_reference(tmp_path):
+    # on a copy of the references recorded from this code, nothing falls;
+    # raising one reference U reads as one fall, named with its task
+    tasks = list(report_diff.reference_tasks([0]))
+    values = {key: report_diff.reference_values(text, alpha) for _, _, key, text, alpha in tasks}
+    table = tmp_path / "references.json"
+    table.write_text(json.dumps({"values": values}), encoding="utf-8")
+    assert report_diff.reference_lines([0], table) == UNMOVED
+    _, where, key, _, _ = tasks[0]
+    values[key][0] *= 1.0 + 1e-9
+    table.write_text(json.dumps({"values": values}), encoding="utf-8")
+    lines = report_diff.reference_lines([0], table)
+    assert lines[0] == "pof_narrow: 102 reference tasks checked, 1 moved"
+    assert lines[1].startswith(f"  max-utilization U: largest relative change 1e-09 at {where} (")
+    assert lines[2].startswith(f"  max-utilization U: 1 fell, the most by 1e-09 at {where} (")
+    assert lines[3:] == UNMOVED[3:]
