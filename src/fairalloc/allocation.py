@@ -104,22 +104,23 @@ def _reached(f, strict):
     return f > 0.0 or (f == 0.0 and not strict)
 
 
-def _crossing(gap, slope, strict, a, b, x, fx):
+def _crossing(gap, slope, strict, a, b, fa):
     """The final bracket (a, b) around the crossing of an increasing gap through 0.
 
     The gap counts as reached where it is > 0 (strict) or >= 0. Callers keep
-    it unreached at a and reached at b, and start from x, one of the two,
-    with fx = gap(x). The first BISECTION_STEPS steps follow the tangent at
-    x, with slope(x) any slope of the gap there; the callers say which side
-    of the crossing it lands on. A step that rounds onto x probes the
-    adjacent double towards the other end instead. A step that leaves the
-    bracket, or that has no finite positive slope, halves the bracket
-    instead, and so does every later step, as rtsafe does (Press et al.,
-    Numerical Recipes, section 9.4). Stops once no double lies between the
-    ends. Each halving halves the bracket and doubles lie at least 2**-1074
-    apart, so that takes at most about BISECTION_STEPS + 1,075 + log2(b - a)
-    steps.
+    it unreached at a and reached at b, and start from a, with fa = gap(a).
+    The first BISECTION_STEPS steps follow the tangent at the last point
+    probed, with slope(x) any slope of the gap at x; the callers say which
+    side of the crossing it lands on. A step that rounds onto its point
+    probes the adjacent double towards the other end instead. A step that
+    leaves the bracket, or that has no finite positive slope, halves the
+    bracket instead, and so does every later step, as rtsafe does (Press et
+    al., Numerical Recipes, section 9.4). Stops once no double lies between
+    the ends. Each halving halves the bracket and doubles lie at least
+    2**-1074 apart, so that takes at most about BISECTION_STEPS + 1,075 +
+    log2(b - a) steps.
     """
+    x, fx = a, fa
     for step in itertools.count():
         m = 0.5 * (a + b)
         if m == a or m == b:
@@ -260,11 +261,15 @@ class _KnotCurve(_Curve):
 
 
 class _SmoothCurve(_Curve):
-    """A smooth law's curve from its closed forms, with Newton box inverses."""
+    """A smooth law's curve from its closed forms, with Newton box inverses.
+
+    The curve holds no state beyond its law and cap: each box inverse is one
+    crossing over [0, cap] started from 0, so its answer depends only on the
+    curve and the target.
+    """
 
     def __init__(self, dist: DemandDistribution, cap: float):
         self.em, self.cdf, self.sf = dist._expected_min, dist.cdf, dist.survival
-        self._last = [0.0, 0.0]  # the last low (index 0) and high (index 1) crossing
         super().__init__(dist, cap)
 
     def _stretch(self, s: float):
@@ -273,37 +278,20 @@ class _SmoothCurve(_Curve):
     def _newton(self, t: float, strict: bool) -> float:
         """The crossing of em(v) = t on a smooth law: the b end below, the a end if strict.
 
-        The bracket (a, b) in [0, cap] keeps em(a) < t (em(a) <= t if strict)
-        and em(b) >= t (em(b) > t if strict); callers have checked both at
-        v = 0 and v = cap. _crossing steps with the exact slope survival(v).
-        E[min(C, v)] is concave, so its tangent lies above it and a step from
-        either end lands at or left of the crossing, up to rounding: from a
-        the steps climb towards it, and an end that rounding put past it
-        steps back to its left.
-
-        The search starts from the crossing this curve last returned for
-        the same strict, checked with one em call: it replaces 0 as the left
-        end when the gap there is unreached, and cap as the right end when
-        it is reached. The floor search moves its targets in small steps,
-        so that point usually lies close to the new crossing.
+        One _crossing over [0, cap] from 0, with the exact slope survival(v).
+        Its bracket (a, b) keeps em(a) < t (em(a) <= t if strict) and
+        em(b) >= t (em(b) > t if strict); callers have checked both at v = 0
+        and v = cap. E[min(C, v)] is concave, so its tangent lies above it
+        and a step from either end lands at or left of the crossing, up to
+        rounding: from 0 the steps climb towards it, and an end that
+        rounding put past it steps back to its left.
         """
-        em = self.dist._expected_min
+        em = self.em
 
         def gap(v):
             return em(v) - t
 
-        a, b = 0.0, self.cap
-        x, fx = a, self.em0 - t
-        last = self._last[strict]
-        if a < last < b:
-            f = gap(last)
-            if _reached(f, strict):
-                b, x, fx = last, last, f
-            else:
-                a, x, fx = last, last, f
-        v = _crossing(gap, self.dist.survival, strict, a, b, x, fx)[0 if strict else 1]
-        self._last[strict] = v
-        return v
+        return _crossing(gap, self.sf, strict, 0.0, self.cap, self.em0 - t)[0 if strict else 1]
 
     def _lowest(self, t: float) -> float:
         return math.inf if self.em_cap < t else self._newton(t, False)
@@ -574,7 +562,7 @@ def _feasible_floors(curves, budget, alpha):
         f0 = gap(q0)
         if _reached(f0, strict):
             return q0
-        return _crossing(gap, slope, strict, q0, 1.0, q0, f0)[end]
+        return _crossing(gap, slope, strict, q0, 1.0, f0)[end]
 
     ell_max = crossing(lo_gap, lo_slope, True, 0)
     ell_min = crossing(hi_gap, hi_slope, False, 1)
