@@ -16,6 +16,9 @@ TwoPoint and Empirical share one atom implementation, ``_Atoms``: the sorted
 atoms with their cdf and top-summed survival, from which it answers cdf,
 survival, quantile and the support top, and builds knot tables with one knot
 per atom up to the budget.
+
+The lattice and Normal formulas read scipy.special through ``special``,
+which imports it on first use, so parsing and the other laws never load it.
 """
 
 from __future__ import annotations
@@ -28,10 +31,26 @@ from dataclasses import dataclass, fields
 from typing import ClassVar, Optional
 
 import numpy as np
-from scipy.special import bdtr, bdtrc, bdtrik, log_ndtr, ndtri, pdtr, pdtrc, pdtrik
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+class _LazySpecial:
+    """scipy.special, imported on the first attribute read, which rebinds ``special`` to it.
+
+    Two threads that race on the first read bind the same module.
+    """
+
+    def __getattr__(self, name):
+        global special
+        import scipy.special
+
+        special = scipy.special
+        return getattr(special, name)
+
+
+special = _LazySpecial()
 
 # Piecewise-linear description of expected_min on [0, cap] for atom-supported
 # variants: (knot positions, cdf at knots, survival at knots, E[min] at knots).
@@ -101,6 +120,9 @@ class DemandDistribution(ABC):
     @abstractmethod
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         """Draw from the distribution; a float when size is None, else an array.
+
+        A sized draw returns a fresh array that the caller owns and may
+        overwrite.
 
         Empirical, Binomial and Poisson draws invert one uniform each through
         a guide table (``_GuideTable``), most of them with one gather and the
@@ -455,17 +477,17 @@ class Binomial(_Lattice):
         return float(self.n)
 
     def _cdf_at(self, k):
-        return bdtr(k, self.n, self.p)
+        return special.bdtr(k, self.n, self.p)
 
     def _sf_at(self, k):
-        return bdtrc(k, self.n, self.p)
+        return special.bdtrc(k, self.n, self.p)
 
     def _size_biased_cdf_at(self, k, cdf=None):
         # x pmf(x) / (n p) is the pmf of 1 + Bin(n - 1, p)
-        return bdtr(k, self.n - 1, self.p)
+        return special.bdtr(k, self.n - 1, self.p)
 
     def _guess(self, p):
-        return bdtrik(p, self.n, self.p)
+        return special.bdtrik(p, self.n, self.p)
 
     def _sd(self):
         return math.sqrt(self.mean() * (1.0 - self.p))
@@ -495,18 +517,18 @@ class Poisson(_Lattice):
         return math.inf
 
     def _cdf_at(self, k):
-        return pdtr(k, self.lam)
+        return special.pdtr(k, self.lam)
 
     def _sf_at(self, k):
-        return pdtrc(k, self.lam)
+        return special.pdtrc(k, self.lam)
 
     def _size_biased_cdf_at(self, k, cdf=None):
         # x pmf(x) / lam is the pmf of 1 + Poi(lam): the law's own cdf, which
         # a knot table passes in from its cdf column
-        return pdtr(k, self.lam) if cdf is None else cdf
+        return special.pdtr(k, self.lam) if cdf is None else cdf
 
     def _guess(self, p):
-        return pdtrik(p, self.lam)
+        return special.pdtrik(p, self.lam)
 
     def _sd(self):
         return math.sqrt(self.lam)
@@ -546,7 +568,7 @@ class Normal(DemandDistribution):
         return 0.5 * math.erfc((x - self.mu) / (self.sigma * _SQRT2))
 
     def _quantile(self, p: float) -> float:
-        return self.mu + self.sigma * float(ndtri(p))
+        return self.mu + self.sigma * float(special.ndtri(p))
 
     def _expected_min(self, v: float) -> float:
         z = (self.mu - v) / self.sigma
@@ -569,7 +591,7 @@ class Normal(DemandDistribution):
         # t phi(t) / Phi(t)) at t = (v - mu) / sigma, where draws below 0 push
         # it past v, the bound of laws on C >= 0
         t = (v - self.mu) / self.sigma
-        ratio = math.exp(-0.5 * t * t - float(log_ndtr(t))) * _INV_SQRT_2PI
+        ratio = math.exp(-0.5 * t * t - float(special.log_ndtr(t))) * _INV_SQRT_2PI
         return max(v, self.sigma * math.sqrt(max(t * t + 1.0 + t * ratio, 0.0)))
 
 

@@ -140,9 +140,10 @@ def estimate_expected_min(
     def chunk_sums(j):
         count = min(CHUNK_SIZE, samples - j * CHUNK_SIZE)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(group, j)))
-        clipped = np.minimum(dist.sample(rng, count), v)
-        np.multiply(clipped, scale, out=clipped)
-        return float(clipped.sum()), float(np.multiply(clipped, clipped, out=clipped).sum())
+        draws = dist.sample(rng, count)
+        np.minimum(draws, v, out=draws)
+        np.multiply(draws, scale, out=draws)
+        return float(draws.sum()), float(np.multiply(draws, draws, out=draws).sum())
 
     total = 0.0
     total_sq = 0.0

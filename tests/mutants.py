@@ -110,6 +110,20 @@ MUTANTS = (
          "tests/test_allocation.py::test_pof_leaves_every_curve_as_it_was_built"),
     ),
     Mutant(
+        "crossing-returns-the-unfinished-newton-bracket", ALLOCATION,
+        "        if m == a or m == b:\n            break\n",
+        "        if m == a or m == b or step == BISECTION_STEPS:\n            break\n",
+        ("tests/test_allocation.py::test_crossing_ends_on_adjacent_doubles",),
+    ),
+    Mutant(
+        "pof-row-bounds-swapped", ALLOCATION,
+        '"bound_1_over_1_minus_alpha": self.bound_1_over_1_minus_alpha,\n'
+        '            "bound_1_plus_2alpha": self.bound_1_plus_2alpha,',
+        '"bound_1_over_1_minus_alpha": self.bound_1_plus_2alpha,\n'
+        '            "bound_1_plus_2alpha": self.bound_1_over_1_minus_alpha,',
+        ("tests/test_cli.py::test_pof_with_certificate_bounds",),
+    ),
+    Mutant(
         "chunk-sums-in-completion-order", "fairalloc/montecarlo.py",
         "results[j] = job(j)",
         "results[results.index(None)] = job(j)",
@@ -120,6 +134,54 @@ MUTANTS = (
         "while not failed.is_set():",
         "while True:",
         ("tests/test_montecarlo.py::test_a_failing_chunk_raises_in_the_caller_and_no_chunk_starts_after_it",),
+    ),
+    Mutant(
+        "chunk-sums-in-reverse-order", "fairalloc/montecarlo.py",
+        "for s, sq in _run_chunks(chunk_sums, -(-samples // CHUNK_SIZE)):",
+        "for s, sq in reversed(_run_chunks(chunk_sums, -(-samples // CHUNK_SIZE))):",
+        ("tests/test_montecarlo.py::test_report_over_several_chunks_matches_a_plain_chunk_loop",),
+    ),
+    Mutant(
+        "scipy-special-imported-at-load", "fairalloc/distributions.py",
+        "import numpy as np\n",
+        "import numpy as np\nimport scipy.special\n",
+        ("tests/test_cold_start.py::test_importing_and_parsing_every_golden_scenario_loads_no_scipy",),
+    ),
+    Mutant(
+        "normal-draws-by-ndtri", "fairalloc/distributions.py",
+        "draws = rng.normal(self.mu, self.sigma, size)",
+        "draws = self.mu + self.sigma * special.ndtri(rng.random(size))",
+        ("tests/test_distributions.py::test_sampling_calls_no_cdf_formula",),
+    ),
+    Mutant(
+        "atom-lookups-bisect-left", "fairalloc/distributions.py",
+        "idx = bisect.bisect_right(self._points, x)",
+        "idx = bisect.bisect_left(self._points, x)",
+        ("tests/test_distributions.py::test_atom_law_lookups_equal_numpy_searchsorted",),
+    ),
+    Mutant(
+        "atom-knots-without-the-atom-at-0-offset", "fairalloc/distributions.py",
+        "lo = int(self._vals[0] == 0.0)",
+        "lo = 0",
+        ("tests/test_distributions.py::test_empirical_knot_tables_equal_per_atom_lookups",),
+    ),
+    Mutant(
+        "lattice-knots-cut-one-knot-early", "fairalloc/distributions.py",
+        "ks, sfs = ks[: zeros[0] + 1], sfs[: zeros[0] + 1]",
+        "ks, sfs = ks[: zeros[0]], sfs[: zeros[0]]",
+        ("tests/test_distributions.py::test_lattice_knot_tables_end_at_the_tail",),
+    ),
+    Mutant(
+        "guide-table-search-side-left", "fairalloc/distributions.py",
+        'k[many] = self.cdf.searchsorted(u[many], side="right")',
+        'k[many] = self.cdf.searchsorted(u[many], side="left")',
+        ("tests/test_distributions.py::test_empirical_draws_next_to_cdf_points_follow_choice_inverse",),
+    ),
+    Mutant(
+        "guide-table-one-point-step-strict", "fairalloc/distributions.py",
+        "k += u >= self.cdf[k]",
+        "k += u > self.cdf[k]",
+        ("tests/test_distributions.py::test_guide_table_draws_at_bucket_edges_and_cdf_points_invert_the_cdf",),
     ),
     Mutant(
         "guide-table-edge-points-counted-one-bucket-late", "fairalloc/distributions.py",
