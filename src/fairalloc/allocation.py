@@ -428,12 +428,10 @@ def max_utilization(scenario: Scenario) -> Allocation:
     """Unconstrained maximizer of total expected consumption (water-filling).
 
     At the optimum all interior groups with continuous demand share a common
-    marginal Pr[C_i > v_i].
+    marginal Pr[C_i > v_i]. It is alpha_fair_optimal at alpha 1, where the
+    fairness constraint is vacuous.
     """
-    shortcut, curves = _prologue(scenario)
-    if shortcut is not None:
-        return shortcut
-    return _max_fill(curves, scenario.resource)
+    return alpha_fair_optimal(scenario, 1.0)
 
 
 def alpha_fair_optimal(scenario: Scenario, alpha: float) -> Allocation:
@@ -760,7 +758,7 @@ def _optima(scenario: Scenario, alpha: float):
         v_max = _max_fill(curves, scenario.resource)
         v_fair = v_max if alpha >= 1.0 else _alpha_fair(scenario, alpha, curves)
     u_max = metrics.utilization(scenario, v_max)
-    u_fair = metrics.utilization(scenario, v_fair)
+    u_fair = u_max if v_fair is v_max else metrics.utilization(scenario, v_fair)
     if u_fair > u_max:
         v_max, u_max = v_fair, u_fair
     return v_max, u_max, v_fair, u_fair

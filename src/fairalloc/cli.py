@@ -155,11 +155,8 @@ def _cmd_evaluate(args, sf) -> None:
 def _cmd_optimize(args, sf) -> None:
     scenario = sf.scenario
     alpha = args.alpha
-    if alpha is None:
-        v_max = allocation.max_utilization(scenario)
-        u_max = metrics.utilization(scenario, v_max)
-    else:
-        v_max, u_max, v_fair, u_fair = allocation._optima(scenario, alpha)
+    # at alpha 1 the alpha-fair optimum is the max fill, so one solve serves both
+    v_max, u_max, v_fair, u_fair = allocation._optima(scenario, 1.0 if alpha is None else alpha)
     result = {
         "max_utilization": {
             "allocation": list(v_max.values),

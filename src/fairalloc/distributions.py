@@ -130,7 +130,7 @@ class DemandDistribution(ABC):
         generator's state after them, equal ``Generator.choice(values, size,
         p=probabilities)`` for the same generator state. Binomial and Poisson
         tables come from their pmf ratios, not from the cdf formulas that
-        Monte Carlo checks; a law whose table would pass 1 << 20 points draws
+        Monte Carlo checks; a law whose table would pass ``_TABLE_CAP`` points draws
         from numpy's own sampler instead.
         """
 
@@ -329,6 +329,11 @@ class _GuideTable:
         return draws
 
 
+# the most points a lattice law tabulates: both its knot tables and its
+# sampling table give up past it
+_TABLE_CAP = 1 << 20
+
+
 class _Lattice(DemandDistribution):
     """A law on the integers 0..support_max(), from a family's vectorized hooks.
 
@@ -367,8 +372,8 @@ class _Lattice(DemandDistribution):
         """The span's top, doubled until done(k) holds or k is the support's top."""
         k = self._span()[1]
         while k < self.support_max() and not done(k):
-            # stop once at 1 << 20, the knot tables' cap, so no table that fits is passed over
-            step = 2 * k if k >= 1 << 20 else min(2 * k, 1 << 20)
+            # stop once at the cap, so no table that fits is passed over
+            step = 2 * k if k >= _TABLE_CAP else min(2 * k, _TABLE_CAP)
             k = int(min(step, self.support_max()))
         return k
 
@@ -405,7 +410,7 @@ class _Lattice(DemandDistribution):
         # ends at the cap or at the first zero survival, past which it is flat
         end = self._tail_point(lambda k: k >= cap or self._sf_at(k) == 0.0)
         top = min(math.ceil(cap), end)
-        if top > 1 << 20:
+        if top > _TABLE_CAP:
             return None
         ks = np.arange(top + 1, dtype=float)
         sfs = self._sf_at(ks)
@@ -419,7 +424,7 @@ class _Lattice(DemandDistribution):
         return (ks.tolist(), cdfs.tolist(), sfs.tolist(), ems.tolist())
 
     def _lattice(self):
-        """(points, pmf) over the span; None past 1 << 20 points, the cap of the knot tables.
+        """(points, pmf) over the span; None past ``_TABLE_CAP`` points.
 
         The log weights are summed outward from the mean: the largest is
         about 0, so nothing like e**-lambda, which underflows for lambda >
@@ -427,7 +432,7 @@ class _Lattice(DemandDistribution):
         of the law.
         """
         lo, hi = self._span()
-        if hi - lo >= 1 << 20:
+        if hi - lo >= _TABLE_CAP:
             return None
         ks = np.arange(lo, hi + 1, dtype=float)
         steps = self._log_pmf_ratio(ks[:-1])

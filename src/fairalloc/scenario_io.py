@@ -275,53 +275,41 @@ def rows_to_csv(columns: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _holds_array(obj: dict) -> bool:
-    """Whether an array is a value of obj or of a dict nested in it."""
-    return any(type(value) is np.ndarray or type(value) is dict and _holds_array(value)
-               for value in obj.values())
-
-
-def _layout(obj, pad: str, parts: list) -> None:
-    """Append json.dumps(obj, indent=2) as it reads pad deep to parts, with an
-    (array, pad) pair in place of each non-empty 2-D float64 array in dicts."""
-    if type(obj) is np.ndarray and obj.ndim == 2 and obj.size and obj.dtype == np.float64:
-        parts.append((obj, pad))
-        return
-    if type(obj) is dict and _holds_array(obj) and all(type(key) is str for key in obj):
-        parts.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            parts.append(f"{',' if i else ''}\n{pad}  {json.dumps(key)}: ")
-            _layout(value, pad + "  ", parts)
-        parts.append(f"\n{pad}}}")
-        return
-    # a JSON string holds no raw newline, so re-padding a plain dump's lines is safe
-    text = json.dumps(obj, indent=2, default=np.ndarray.tolist)
-    parts.append(text.replace("\n", "\n" + pad) if pad else text)
+_MARK = "\x00fairalloc-array\x00"  # dumps_report's stand-in for an array it writes itself
+_MARK_JSON = json.dumps(_MARK)
 
 
 def dumps_report(obj) -> str:
     """Exactly json.dumps(obj, indent=2), with each ndarray in it written as its tolist().
 
     With indent, json.dumps runs its pure-Python encoder, slow on a curve's
-    thousands of rows. So the non-empty 2-D float64 arrays that are values
-    of str-keyed dicts nested only in such dicts are written here: the text
-    of all their distinct doubles comes from one json.dumps call, and the
-    report from one join. Any other array goes through json.dumps as its
-    tolist(). A report without arrays costs one json.dumps after a walk over its dicts.
+    thousands of rows. So it lays out the report with a marker string in
+    place of each non-empty 2-D float64 array, wherever the array sits, and
+    each marker then becomes its array's rows, indented like the marker's
+    line: the text of all their distinct doubles comes from one more
+    json.dumps call. Other arrays go through json.dumps as their tolist().
+    A report that already holds the marker text (a scenario's names may) is
+    a plain json.dumps, and a report without arrays costs one json.dumps call.
     """
-    parts = []
-    _layout(obj, "", parts)
-    arrays = [part for part in parts if type(part) is tuple]
+    arrays = []
+
+    def mark(value):
+        if type(value) is np.ndarray and value.ndim == 2 and value.size and value.dtype == np.float64:
+            arrays.append(value)
+            return _MARK
+        return np.ndarray.tolist(value)
+
+    text = json.dumps(obj, indent=2, default=mark)
     if not arrays:
-        return "".join(parts)
-    distinct, inverse = _distinct(np.concatenate([a.ravel() for a, _ in arrays]))
+        return text
+    pieces = text.split(_MARK_JSON)
+    if len(pieces) != len(arrays) + 1:
+        return json.dumps(obj, indent=2, default=np.ndarray.tolist)
+    distinct, inverse = _distinct(np.concatenate([a.ravel() for a in arrays]))
     texts = np.array(json.dumps(distinct)[1:-1].split(", "), dtype=object)[inverse]
     out, start = [], 0
-    for part in parts:
-        if type(part) is not tuple:
-            out.append(part)
-            continue
-        array, pad = part
+    for piece, array in zip(pieces, arrays):
+        pad = re.match(" *", piece[piece.rfind("\n") + 1:])[0]  # no JSON string holds a raw newline
         # each cell followed by the text after it: the next cell's indent,
         # the next row's opening, or the array's end
         tokens = np.empty((len(array), 2 * array.shape[1]), dtype=object)
@@ -329,8 +317,9 @@ def dumps_report(obj) -> str:
         tokens[:, 1::2] = f",\n{pad}    "  # one str for all, where np.full would copy it
         tokens[:, -1] = f"\n{pad}  ],\n{pad}  [\n{pad}    "
         tokens[-1, -1] = f"\n{pad}  ]\n{pad}]"
-        out += [f"[\n{pad}  [\n{pad}    ", *tokens.ravel().tolist()]
+        out += [piece, f"[\n{pad}  [\n{pad}    ", *tokens.ravel().tolist()]
         start += array.size
+    out.append(pieces[-1])
     return "".join(out)
 
 

@@ -196,9 +196,21 @@ MUTANTS = (
         ("tests/test_distributions.py::test_guide_tables_equal_the_search_over_bucket_edges",),
     ),
     Mutant(
+        "lattice-quantile-skips-the-upward-walk", "fairalloc/distributions.py",
+        "        while m < upper and self._cdf_at(m) < p:\n            m += 1\n",
+        "",
+        ("tests/test_distributions.py::test_lattice_quantile_walks_from_any_guess_to_the_smallest_k",),
+    ),
+    Mutant(
         "distinct-doubles-by-value-not-bits", "fairalloc/scenario_io.py",
         "np.unique(values.view(np.int64), return_inverse=True)",
         "np.unique(values, return_inverse=True)",
+        ("tests/test_scenario_io.py::test_dumps_report_is_json_dumps_with_indent",),
+    ),
+    Mutant(
+        "report-splices-arrays-without-the-marker-count-check", "fairalloc/scenario_io.py",
+        "    if len(pieces) != len(arrays) + 1:\n        return json.dumps(obj, indent=2, default=np.ndarray.tolist)\n",
+        "",
         ("tests/test_scenario_io.py::test_dumps_report_is_json_dumps_with_indent",),
     ),
 )

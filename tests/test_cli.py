@@ -740,7 +740,7 @@ def test_optimizer_failure_exit_codes(capsys, poisson3, monkeypatch, error, expe
     def boom(*args, **kwargs):
         raise error("forced failure")
 
-    monkeypatch.setattr(allocation_module, "max_utilization", boom)
+    monkeypatch.setattr(allocation_module, "_optima", boom)
     code, _, err = run(capsys, "optimize", "--scenario", poisson3)
     assert code == expected
     assert "forced failure" in err

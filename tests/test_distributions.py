@@ -171,6 +171,20 @@ def test_quantile_returns_smallest_support_point(dist):
             assert dist.cdf(x - 1e-9) < p
 
 
+@pytest.mark.parametrize("dist", [Binomial(30, 0.4), Binomial(200, 0.3), Poisson(12.0), Poisson(400.0)],
+                         ids=ids)
+@pytest.mark.parametrize("guess", [-1e6, math.nan], ids=["far-too-low", "nan"])
+def test_lattice_quantile_walks_from_any_guess_to_the_smallest_k(dist, guess, monkeypatch):
+    # the family's guess only sets where the walk starts: from 0, or from the mean
+    levels = [1e-12, *np.linspace(0.001, 0.999, 37).tolist(), 1.0 - 1e-12]
+    expected = [dist.quantile(p) for p in levels]
+    cdfs = [dist.cdf(k) for k in range(int(max(expected)) + 1)]
+    monkeypatch.setattr(type(dist), "_guess", lambda self, p: guess)
+    for p, x in zip(levels, expected):
+        smallest = next(k for k, c in enumerate(cdfs) if c >= p)
+        assert dist.quantile(p) == x == smallest
+
+
 # ---------------------------------------------------------------- expected_min
 
 def test_expected_min_examples():

@@ -229,6 +229,17 @@ def test_digest_tracks_exact_text():
     assert load_scenario_file(a).digest == input_digest(a)
 
 
+def test_serialized_defaults_load_back_with_integers_kept():
+    sc = parse_scenario(
+        '{"resource":5,"groups":[{"name":"a","distribution":{"kind":"poisson","lambda":2}}]}'
+    )
+    defaults = {"epsilon": 0.1, "alpha": 0.25, "seed": 7, "samples": 5000}
+    sf = load_scenario_file(serialize_scenario(sc, defaults))
+    assert sf.scenario == sc
+    assert list(sf.defaults.items()) == list(defaults.items())
+    assert (type(sf.defaults["seed"]), type(sf.defaults["samples"])) == (int, int)
+
+
 def test_scenario_to_dict_omits_empty_defaults():
     sc = parse_scenario(
         '{"resource":5,"groups":[{"name":"a","distribution":{"kind":"constant","c":2}}]}'
@@ -351,8 +362,7 @@ _CELLS = st.sampled_from(
 ) | st.integers() | st.floats()
 _ROWS = st.lists(_CELLS, min_size=1, max_size=4)
 _LISTS = st.lists(_ROWS | _ROWS.map(tuple) | _CELLS | st.booleans() | st.none() | _TEXT, max_size=4)
-# 2-D float arrays, 1x1 and 1xk among them; empty, 1-D and int arrays, and
-# arrays in lists or under non-str keys, take the plain path
+# 2-D float arrays, 1x1 and 1xk among them; empty, 1-D and int arrays take the plain path
 _ARRAYS = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
     lambda shape: st.lists(_FLOATS, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
     .map(lambda cells: np.array(cells, dtype=np.float64).reshape(shape))
@@ -385,6 +395,11 @@ _TWICE = np.array([[0.0, -0.0, math.nan], [math.inf, -math.inf, 5e-324]])
 @example({"t": [[True, 1.0]], "e": [], "r": [[]], "s": [["], [", 1.0]], "x": {1: [[1.0]]}})
 @example({"x": {1: np.array([[1.0]])}, "y": [np.array([[0.5, -0.0]])], "z": np.array([[1, 2]])})
 @example([{"t": [[1.0]], "a": np.array([[1.0]])}])
+# a report that holds dumps_report's marker text itself: as a key, a value,
+# a list item, and after an escaped quote at a string's end
+@example({scenario_io._MARK: 1.0, "a": np.array([[1.0, -0.0]])})
+@example({"a": np.array([[0.5], [2.0]]), "b": scenario_io._MARK})
+@example([scenario_io._MARK, np.array([[1.0, 2.0]]), {"c": '"' + scenario_io._MARK}])
 def test_dumps_report_is_json_dumps_with_indent(obj):
     assert dumps_report(obj) == json.dumps(_as_lists(obj), indent=2)
 
